@@ -19,9 +19,8 @@
 //!
 //! The [`rig`] module replays any (strategy, schedule) pair against any
 //! [`mirza_dram::mitigation::Mitigator`] on a faithful REF/ALERT timeline
-//! and judges the outcome with a victim model. The legacy Monte-Carlo
-//! entry points (`HammerHarness`, `run_hammer`) live here too and are
-//! re-exported by `mirza_security::montecarlo` unchanged.
+//! and judges the outcome with a victim model. The pattern-replay
+//! Monte-Carlo entry points (`HammerHarness`, `run_hammer`) live there too.
 //!
 //! Everything is deterministic for a fixed seed: strategies draw their
 //! randomness from seeded `SmallRng` streams and the rig itself is

@@ -2,10 +2,9 @@
 //! [`Mitigator`] on a faithful REF/ALERT timeline and judges the outcome
 //! with a [`Victim`] model.
 //!
-//! This module subsumes the original Monte-Carlo engine: the legacy
-//! pattern-based entry points ([`HammerHarness::interval`],
-//! [`HammerHarness::burst`], [`run_hammer`]) are preserved bit-for-bit
-//! (`mirza_security::montecarlo` re-exports them), while
+//! This module is also the Monte-Carlo attack engine: the pattern-based
+//! entry points ([`HammerHarness::interval`], [`HammerHarness::burst`],
+//! [`run_hammer`]) replay one fixed pattern, while
 //! [`HammerHarness::interval_with`] generalizes the slot loop over the
 //! trait axes.
 //!
@@ -383,6 +382,8 @@ mod tests {
     use crate::victim::{AnyRow, TargetRows};
     use mirza_core::config::MirzaConfig;
     use mirza_core::mirza::Mirza;
+    use mirza_core::rct::ResetPolicy;
+    use mirza_trackers::prac::PracMoat;
     use mirza_trackers::trr::Trr;
 
     fn geom() -> Geometry {
@@ -567,5 +568,208 @@ mod tests {
             assert_eq!(r.next_row(&fb), 2);
         }
         assert_eq!(p.next_act(), 3);
+    }
+
+    #[test]
+    fn interval_budget_is_75() {
+        let mut m = Mirza::new(MirzaConfig::trhd_1000(), &geom(), 1);
+        let h = HammerHarness::new(&mut m, &geom(), &timing(), 0);
+        assert_eq!(h.acts_per_interval(), 75);
+    }
+
+    #[test]
+    fn mirza_bounds_double_sided_attack() {
+        let cfg = MirzaConfig::trhd_1000();
+        let mut m = Mirza::new(cfg, &geom(), 7);
+        let mapping = *m.mapping().unwrap();
+        let mut pattern = RowPattern::double_sided(&mapping, 5_000);
+        // One full refresh window of flat-out hammering.
+        let out = run_hammer(&mut m, &geom(), &timing(), 0, &mut pattern, 8192);
+        assert!(out.total_acts > 300_000);
+        assert!(
+            out.max_unmitigated_acts < cfg.safe_trhd(),
+            "max {} >= bound {}",
+            out.max_unmitigated_acts,
+            cfg.safe_trhd()
+        );
+        assert!(out.alerts > 0, "the attack must be forcing ALERTs");
+    }
+
+    #[test]
+    fn mirza_bounds_single_row_hammer() {
+        let cfg = MirzaConfig::trhd_1000();
+        let mut m = Mirza::new(cfg, &geom(), 11);
+        let mut pattern = RowPattern::single_sided(9_999);
+        let out = run_hammer(&mut m, &geom(), &timing(), 0, &mut pattern, 8192);
+        assert!(
+            out.max_unmitigated_acts < cfg.safe_trhs(),
+            "max {} >= TRHS bound {}",
+            out.max_unmitigated_acts,
+            cfg.safe_trhs()
+        );
+    }
+
+    #[test]
+    fn mirza_bounds_feinting_style_queue_attack() {
+        // Many rows of one region cycled to keep MIRZA-Q populated
+        // (Figure 10's multi-entry pressure + Figure 12 kernel).
+        let cfg = MirzaConfig::trhd_1000();
+        let mut m = Mirza::new(cfg, &geom(), 13);
+        let mapping = *m.mapping().unwrap();
+        let regions = *m.rct().unwrap().regions();
+        let mut pattern = RowPattern::same_region(&mapping, &regions, 3, 8);
+        let out = run_hammer(&mut m, &geom(), &timing(), 0, &mut pattern, 8192);
+        assert!(
+            out.max_unmitigated_acts < cfg.safe_trhd(),
+            "max {} >= bound {}",
+            out.max_unmitigated_acts,
+            cfg.safe_trhd()
+        );
+    }
+
+    #[test]
+    fn prac_moat_bounds_everything_cheaply() {
+        let mut p = PracMoat::new(250, &geom());
+        let mut pattern = RowPattern::single_sided(4_242);
+        let out = run_hammer(&mut p, &geom(), &timing(), 0, &mut pattern, 1024);
+        // MOAT mitigates at ATH; slack is the ABO episode only.
+        assert!(
+            out.max_unmitigated_acts <= 250 + PROLOGUE_ACTS + 1,
+            "max {}",
+            out.max_unmitigated_acts
+        );
+    }
+
+    #[test]
+    fn trr_is_broken_by_decoy_pattern() {
+        // 56 decoys hammered 2x per cycle keep the 28-entry table's top
+        // counts; 2 real aggressors at 1x per cycle never become pop_max
+        // targets and accrue unmitigated ACTs past today's TRHD of 4.8K.
+        let mut rows = Vec::new();
+        for d in 0..56u32 {
+            rows.push(40_000 + d * 8);
+            rows.push(40_000 + d * 8); // decoys twice per cycle
+        }
+        rows.push(20_001); // aggressors once per cycle
+        rows.push(20_003);
+        let mut t = Trr::ddr4_like(&geom());
+        let mut pattern = RowPattern::circular(rows);
+        // Two refresh windows so a full window-length unmitigated run
+        // (between two refreshes of the aggressor) is observed.
+        let out = run_hammer(&mut t, &geom(), &timing(), 0, &mut pattern, 16384);
+        assert!(
+            out.max_unmitigated_acts > 4_800,
+            "TRR unexpectedly held: max {}",
+            out.max_unmitigated_acts
+        );
+    }
+
+    #[test]
+    fn mirza_stops_the_trr_breaking_pattern() {
+        // The same decoy pattern against MIRZA configured for TRHD=4.8K
+        // (Table XII) stays bounded.
+        let cfg = MirzaConfig::trhd_4800();
+        let mut m = Mirza::new(cfg, &geom(), 17);
+        let mut rows = Vec::new();
+        for d in 0..56u32 {
+            rows.push(40_000 + d * 8);
+            rows.push(40_000 + d * 8);
+        }
+        rows.push(20_001);
+        rows.push(20_003);
+        let mut pattern = RowPattern::circular(rows);
+        let out = run_hammer(&mut m, &geom(), &timing(), 0, &mut pattern, 8192);
+        assert!(
+            out.max_unmitigated_acts < cfg.safe_trhd(),
+            "max {} >= bound {}",
+            out.max_unmitigated_acts,
+            cfg.safe_trhd()
+        );
+    }
+
+    #[test]
+    fn mirza_bounds_half_double_and_blacksmith() {
+        let cfg = MirzaConfig::trhd_1000();
+        for (name, mut pattern) in [
+            ("half-double", {
+                let m = Mirza::new(cfg, &geom(), 19);
+                RowPattern::half_double(m.mapping().unwrap(), 5_000)
+            }),
+            ("blacksmith", {
+                let m = Mirza::new(cfg, &geom(), 19);
+                RowPattern::blacksmith(m.mapping().unwrap(), 7, 24, 3)
+            }),
+        ] {
+            let mut m = Mirza::new(cfg, &geom(), 19);
+            let out = run_hammer(&mut m, &geom(), &timing(), 0, &mut pattern, 4096);
+            assert!(
+                out.max_unmitigated_acts < cfg.safe_trhs(),
+                "{name}: {} >= {}",
+                out.max_unmitigated_acts,
+                cfg.safe_trhs()
+            );
+        }
+    }
+
+    #[test]
+    fn refresh_resets_counts() {
+        let mut m = Mirza::new(MirzaConfig::trhd_1000(), &geom(), 3);
+        let mut h = HammerHarness::new(&mut m, &geom(), &timing(), 0);
+        // Hammer row address 0 (physical row 0, refreshed by the first REF).
+        let mut p = RowPattern::single_sided(0);
+        h.burst(&mut p, 10);
+        assert_eq!(h.count(0), 10);
+        h.idle_interval(); // REF slice 0..16 covers physical row 0
+        assert_eq!(h.count(0), 0);
+    }
+
+    #[test]
+    fn reset_policy_attack_breaks_eager_but_not_safe() {
+        // Appendix B: hammer the target FTH-1 times just before the
+        // region's first REF and FTH-1 times during the walk. Eager reset
+        // double-counts the budget; safe reset (RRC) does not.
+        let run = |policy: ResetPolicy| {
+            let fth = 300;
+            let cfg = MirzaConfig {
+                fth,
+                mint_w: 4,
+                ..MirzaConfig::trhd_1000()
+            };
+            let mut m = Mirza::with_reset_policy(cfg, &geom(), 23, policy);
+            let mapping = *m.mapping().unwrap();
+            // Region 5 covers physical rows 5120..6144; its refresh walk is
+            // REF steps 320..384. Target the region's last physical row.
+            let target = mapping.row_of(6143);
+            let mut h = HammerHarness::new(&mut m, &geom(), &timing(), 0);
+            let mut p = RowPattern::single_sided(target);
+            for _ in 0..315 {
+                h.idle_interval();
+            }
+            // Phase 1: FTH-1 ACTs right before the region's first REF.
+            for _ in 315..319 {
+                h.burst(&mut p, (fth - 1) / 4);
+                h.idle_interval();
+            }
+            h.burst(&mut p, (fth - 1) - 4 * ((fth - 1) / 4));
+            h.idle_interval(); // step 319
+            h.idle_interval(); // step 320: the region's first REF (reset)
+                               // Phase 2: FTH-1 ACTs while the region is being walked.
+            for _ in 0..8 {
+                h.burst(&mut p, (fth - 1) / 8);
+                h.idle_interval();
+            }
+            let max = h.finish().max_unmitigated_acts;
+            (max, fth)
+        };
+        let (eager, fth) = run(ResetPolicy::Eager);
+        let (safe, _) = run(ResetPolicy::Safe);
+        assert!(
+            eager as f64 >= 1.7 * f64::from(fth),
+            "eager reset should under-count: {eager} vs FTH {fth}"
+        );
+        assert!(
+            (safe as f64) < 1.4 * f64::from(fth),
+            "safe reset must bound the count: {safe} vs FTH {fth}"
+        );
     }
 }

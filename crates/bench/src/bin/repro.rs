@@ -5,7 +5,7 @@
 //!       [--jobs N] [--resume] [--csv FILE] [--json FILE] [--epochs NS]
 //!       [--epoch-dir DIR] [--audit] [--strict-audit]
 //!       [--compare BASELINE.json] [--faults PLAN] [--watchdog SECS]
-//!       [--trace-chrome FILE] [--opportunity] [--legacy-loop] [--out FILE]
+//!       [--trace-chrome FILE] [--opportunity] [--out FILE]
 //!       [--repeats N] [--warmup N] [--list] [--quiet]
 //!
 //! experiments:
@@ -16,7 +16,7 @@
 //!   perfbench trajectory report
 //! ```
 //!
-//! `--fast` (default) runs the self-consistent 1/16-scaled setup; `--full`
+//! `--fast` (default) runs the self-consistent 1/32-scaled setup; `--full`
 //! runs the paper-scale configuration (hours); `--smoke` is a seconds-long
 //! sanity pass over three workloads.
 //!
@@ -53,11 +53,8 @@
 //! history with soft regression flags (twin of `scripts/perf_gate.py`);
 //! `report` assembles `results/report.html` (`--out` overrides) from the
 //! trajectory, attribution CSV, attack-matrix CSV, and epoch streams.
-//! `--opportunity` arms the event-core opportunity counters on manifest
-//! runs (idle scheduler passes, skip-gap and skip-taken histograms).
-//! `--legacy-loop` drives simulations with the retired eager per-quantum
-//! loop instead of the next-event core — an escape hatch for bisecting;
-//! the two are bit-identical by contract (`sim/tests/event_core.rs`).
+//! `--opportunity` arms the scheduler opportunity counters on manifest
+//! runs (idle scheduler passes and the skip-gap histogram).
 //!
 //! Parallelism: `--jobs N` runs independent simulation/matrix cells on the
 //! supervised work-pool (default: `available_parallelism`; `--jobs 1`
@@ -157,7 +154,7 @@ fn usage() -> ExitCode {
         "usage: repro <experiment|all|ablations|PATH.trace> [--smoke|--fast|--full] \
          [--seed N] [--csv FILE] [--json FILE] [--epochs NS] [--epoch-dir DIR] [--audit] \
          [--strict-audit] [--compare BASELINE.json] [--faults PLAN] [--watchdog SECS] \
-         [--trace-chrome FILE] [--opportunity] [--legacy-loop] [--out FILE] [--repeats N] \
+         [--trace-chrome FILE] [--opportunity] [--out FILE] [--repeats N] \
          [--warmup N] [--jobs N] [--resume] [--list] [--quiet]\n\
          experiments: {} {} {} {} {} {} watchdog-demo\n\
          fault plans: {} (tunable as name:key=value,...)",
@@ -451,7 +448,6 @@ fn main() -> ExitCode {
     let mut watchdog: Option<u64> = None;
     let mut trace_chrome: Option<std::path::PathBuf> = None;
     let mut opportunity = false;
-    let mut legacy_loop = false;
     let mut out: Option<std::path::PathBuf> = None;
     let mut repeats: Option<u64> = None;
     let mut warmup: Option<u64> = None;
@@ -461,7 +457,6 @@ fn main() -> ExitCode {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--opportunity" => opportunity = true,
-            "--legacy-loop" => legacy_loop = true,
             "--out" => match it.next() {
                 Some(p) => out = Some(std::path::PathBuf::from(p)),
                 None => return usage(),
@@ -563,7 +558,6 @@ fn main() -> ExitCode {
     let mut lab = Lab::new(scale);
     lab.jobs = jobs;
     lab.opportunity = opportunity;
-    lab.legacy_loop = legacy_loop;
     lab.fault_plan = fault_plan;
     lab.watchdog_wall_secs = watchdog;
     lab.manifest_path = json.clone();

@@ -60,17 +60,13 @@ pub struct Lab {
     /// Attach the request-lifecycle span collector to every fresh run, so
     /// each report carries per-bucket stall attribution.
     pub attribution: bool,
-    /// Arm the hot-path opportunity counters (`mc.opp_*`, `dram.opp_*`)
-    /// on every fresh run; each run record then carries an `opportunity`
-    /// summary sizing the next-event skip-ahead win.
+    /// Arm the hot-path opportunity counters (`mc.opp_*`) on every fresh
+    /// run; each run record then carries an `opportunity` summary of the
+    /// scheduler passes that issued nothing.
     pub opportunity: bool,
     /// Base path for Chrome trace-event JSON. Each fresh run writes
     /// `<stem>_<label>-<workload>.<ext>` next to it (implies spans).
     pub trace_chrome: Option<std::path::PathBuf>,
-    /// Drive every fresh run with the legacy eager per-quantum loop
-    /// instead of the next-event core (escape hatch; bit-identical by
-    /// contract, see `sim/tests/event_core.rs`).
-    pub legacy_loop: bool,
     /// Where the manifest will be written; a fatal error flushes the
     /// partial document here before exiting.
     pub manifest_path: Option<std::path::PathBuf>,
@@ -215,7 +211,6 @@ impl Lab {
             attribution: false,
             opportunity: false,
             trace_chrome: None,
-            legacy_loop: false,
             jobs: 1,
             prewarmed: HashMap::new(),
             prewarm_failures: Vec::new(),
@@ -338,11 +333,10 @@ impl Lab {
     }
 
     /// Distills the run's opportunity counters into the manifest section
-    /// that audits the next-event core: how many scheduler passes still do
-    /// no work (visited windows that held no device event), how far ahead
-    /// the next pending command sat when a pass went idle, and how much
-    /// simulated time the event loop actually skipped.
-    fn opportunity_summary(telemetry: &Telemetry) -> Json {
+    /// that audits the scheduler: how many passes do no work (quanta that
+    /// held no command) and how far ahead the next pending command sat
+    /// when a pass went idle.
+    pub(crate) fn opportunity_summary(telemetry: &Telemetry) -> Json {
         let passes = telemetry.counter(names::MC_OPP_SCHED_PASSES);
         let idle = telemetry.counter(names::MC_OPP_IDLE_PASSES);
         let mut o = Json::obj();
@@ -356,32 +350,25 @@ impl Lab {
                     0.0
                 },
             );
-        let hist_summary = |name: &'static str| {
-            telemetry
-                .with_recorder(|r| {
-                    r.registry
-                        .histogram(name)
-                        .map(mirza_telemetry::Histogram::summary)
-                })
-                .flatten()
-        };
-        for (key, name) in [
-            ("skip_gap_ns", names::MC_OPP_SKIP_GAP_NS),
-            ("skip_taken_ns", names::SIM_OPP_SKIP_TAKEN_NS),
-        ] {
-            match hist_summary(name) {
-                Some(s) => {
-                    let mut g = Json::obj();
-                    g.push("count", s.count)
-                        .push("p50", s.p50)
-                        .push("p90", s.p90)
-                        .push("p99", s.p99)
-                        .push("max", s.max);
-                    o.push(key, g);
-                }
-                None => {
-                    o.push(key, Json::Null);
-                }
+        let gap = telemetry
+            .with_recorder(|r| {
+                r.registry
+                    .histogram(names::MC_OPP_SKIP_GAP_NS)
+                    .map(mirza_telemetry::Histogram::summary)
+            })
+            .flatten();
+        match gap {
+            Some(s) => {
+                let mut g = Json::obj();
+                g.push("count", s.count)
+                    .push("p50", s.p50)
+                    .push("p90", s.p90)
+                    .push("p99", s.p99)
+                    .push("max", s.max);
+                o.push("skip_gap_ns", g);
+            }
+            None => {
+                o.push("skip_gap_ns", Json::Null);
             }
         }
         o
@@ -535,7 +522,6 @@ impl Lab {
         cfg.watchdog_wall = self
             .watchdog_wall_secs
             .map(|s| scale_wall_budget(std::time::Duration::from_secs(s), self.jobs));
-        cfg.legacy_loop = self.legacy_loop;
         LabCellSpec {
             label: mitigation.label(),
             workload: workload.to_string(),

@@ -1,8 +1,7 @@
 //! # mirza-bench — experiment regeneration harness
 //!
-//! One regenerator per table and figure of the paper's evaluation, shared
-//! between the `repro` binary (`cargo run -p mirza-bench --bin repro --release -- <exp>`)
-//! and the criterion benches.
+//! One regenerator per table and figure of the paper's evaluation, driven
+//! by the `repro` binary (`cargo run -p mirza-bench --bin repro --release -- <exp>`).
 //!
 //! * [`analytic`] — Tables I, II, III, VII, X, XI, XII; Figure 9.
 //! * [`experiments`] — Tables IV, V, VI, VIII, IX, XIII; Figures 3, 6,

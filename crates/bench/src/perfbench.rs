@@ -5,7 +5,7 @@
 //! Timed repeats run with `Telemetry::disabled()` so they measure the
 //! production hot path. One extra *profiled* pass over the suite runs
 //! with the host-phase profiler and the opportunity counters armed,
-//! supplying the phase breakdown and skip-ahead sizing that the timed
+//! supplying the phase breakdown and idle-pass share that the timed
 //! numbers alone cannot give. The documents accumulate in `results/` and
 //! feed [`crate::trajectory`] and `scripts/perf_gate.py`.
 
@@ -13,8 +13,9 @@ use std::time::Instant;
 
 use mirza_sim::config::MitigationConfig;
 use mirza_sim::runner::run_workload_with;
-use mirza_telemetry::{names, Json, Telemetry};
+use mirza_telemetry::{Json, Telemetry};
 
+use crate::lab::Lab;
 use crate::provenance;
 use crate::scale::Scale;
 
@@ -362,7 +363,7 @@ impl PerfBench {
             }
             (
                 tel.profile_json().unwrap_or(Json::Null),
-                opportunity_json(&tel),
+                Lab::opportunity_summary(&tel),
             )
         };
         // Optional parallel pass: the whole suite once on the work pool,
@@ -401,51 +402,6 @@ impl PerfBench {
             parallel,
         }
     }
-}
-
-/// Suite-level opportunity rollup (same shape as the Lab's per-run
-/// manifest section).
-fn opportunity_json(tel: &Telemetry) -> Json {
-    let passes = tel.counter(names::MC_OPP_SCHED_PASSES);
-    let idle = tel.counter(names::MC_OPP_IDLE_PASSES);
-    let mut o = Json::obj();
-    o.push("sched_passes", passes)
-        .push("idle_passes", idle)
-        .push(
-            "idle_pass_frac",
-            if passes > 0 {
-                idle as f64 / passes as f64
-            } else {
-                0.0
-            },
-        );
-    for (key, name) in [
-        ("skip_gap_ns", names::MC_OPP_SKIP_GAP_NS),
-        ("skip_taken_ns", names::SIM_OPP_SKIP_TAKEN_NS),
-    ] {
-        let summary = tel
-            .with_recorder(|r| {
-                r.registry
-                    .histogram(name)
-                    .map(mirza_telemetry::Histogram::summary)
-            })
-            .flatten();
-        match summary {
-            Some(s) => {
-                let mut g = Json::obj();
-                g.push("count", s.count)
-                    .push("p50", s.p50)
-                    .push("p90", s.p90)
-                    .push("p99", s.p99)
-                    .push("max", s.max);
-                o.push(key, g);
-            }
-            None => {
-                o.push(key, Json::Null);
-            }
-        }
-    }
-    o
 }
 
 /// Formats the per-target summary table printed by `repro perfbench`.

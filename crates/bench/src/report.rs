@@ -102,15 +102,8 @@ fn trajectory_section(docs: &[BenchDoc]) -> String {
             .get("skip_gap_ns")
             .and_then(|g| g.get("p50"))
             .and_then(Json::as_f64);
-        let taken = last
-            .opportunity
-            .get("skip_taken_ns")
-            .and_then(|g| g.get("count"))
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
         html.push_str(&format!(
-            "<p>Event-core residual: {:.1}% idle scheduler passes, \
-             {taken} quantum skips taken{}.</p>\n",
+            "<p>Scheduler residual: {:.1}% idle scheduler passes{}.</p>\n",
             frac * 100.0,
             gap.map_or_else(String::new, |g| format!(", median skip gap {g:.0} ns"))
         ));

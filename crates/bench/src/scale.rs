@@ -40,7 +40,7 @@ impl Scale {
         }
     }
 
-    /// Tiny mode for unit tests and criterion benches.
+    /// Tiny mode for unit tests and `--smoke` runs.
     pub fn smoke() -> Self {
         Scale {
             shrink: 64,
@@ -50,7 +50,7 @@ impl Scale {
         }
     }
 
-    /// Minimal mode for criterion benches: one workload, one bank-walk.
+    /// Minimal mode for unit tests: one workload, one bank-walk.
     pub fn bench() -> Self {
         Scale {
             shrink: 64,

@@ -142,25 +142,6 @@ impl BankState {
         assert!(self.open_row.is_none(), "bank busy during blocking command");
         self.next_act = self.next_act.max(until);
     }
-
-    /// Earliest instant at which *any* command class this bank currently
-    /// admits becomes issuable: the bank-local next-event time.
-    ///
-    /// Open bank: the earliest of PRE / RD / WR release (an ACT is illegal
-    /// until a PRE happens, so `next_act` is unreachable before one of
-    /// these). Closed bank: the ACT release (PRE/RD/WR are illegal).
-    ///
-    /// This is the bank's contribution to the device-level
-    /// `next_interesting_ps()` contract: before this instant the bank's
-    /// legality/earliest answers cannot change except through a new command
-    /// issued to it (which invalidates any cache of this value).
-    pub fn next_interesting_ps(&self) -> Ps {
-        if self.open_row.is_some() {
-            self.next_pre.min(self.next_rd).min(self.next_wr)
-        } else {
-            self.next_act
-        }
-    }
 }
 
 #[cfg(test)]
@@ -241,23 +222,5 @@ mod tests {
         let mut b = BankState::new();
         b.block_until(Ps::from_ns(410));
         assert_eq!(b.earliest_act(), Some(Ps::from_ns(410)));
-    }
-
-    #[test]
-    fn next_interesting_tracks_row_state() {
-        let t = t();
-        let mut b = BankState::new();
-        // Closed bank: the ACT release is the only interesting edge.
-        b.block_until(Ps::from_ns(410));
-        assert_eq!(b.next_interesting_ps(), Ps::from_ns(410));
-        let mut b = BankState::new();
-        b.issue_act(1, Ps::ZERO, &t);
-        // Open bank: RD/WR at tRCD come before PRE at tRAS.
-        assert_eq!(b.next_interesting_ps(), t.t_rcd);
-        b.issue_rd(1, t.t_rcd, &t);
-        // After the read the earliest edge is the next column slot (tCCD).
-        assert_eq!(b.next_interesting_ps(), t.t_rcd + t.t_ccd);
-        b.issue_pre(t.t_ras, &t);
-        assert_eq!(b.next_interesting_ps(), t.t_rc);
     }
 }

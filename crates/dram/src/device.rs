@@ -80,10 +80,6 @@ pub struct Subchannel {
     /// Number of banks with an open row, maintained incrementally so
     /// `all_precharged`/`open_banks` are O(1) instead of a bank scan.
     open_count: usize,
-    /// Cached [`Subchannel::next_interesting_ps`]; `None` after any state
-    /// mutation ([`Subchannel::issue`] or a fault hook). A `Cell` because
-    /// the probe takes `&self`.
-    next_event: std::cell::Cell<Option<Ps>>,
     telemetry: Telemetry,
     /// Independent protocol auditor (shadow checker), when enabled. Boxed:
     /// its per-bank shadow state is only paid for by auditing runs.
@@ -135,7 +131,6 @@ impl Subchannel {
             spans: false,
             tracker_tick: 0,
             open_count: 0,
-            next_event: std::cell::Cell::new(None),
             telemetry: Telemetry::disabled(),
             audit: None,
             timing,
@@ -283,13 +278,11 @@ impl Subchannel {
     /// alert reappears once the mask expires — a delayed raise).
     pub fn mask_alert_until(&mut self, until: Ps) {
         self.alert_masked_until = self.alert_masked_until.max(until);
-        self.next_event.set(None);
     }
 
     /// Fault-injection hook: forwards a state fault to the mitigation
     /// engine; returns whether it changed anything.
     pub fn inject_fault(&mut self, fault: &DeviceFault, now: Ps) -> bool {
-        self.next_event.set(None);
         self.mitigator.inject_fault(fault, now)
     }
 
@@ -299,7 +292,6 @@ impl Subchannel {
     /// honest.
     pub fn skip_refresh_steps(&mut self, steps: u32) {
         self.ref_ptr.skip(steps);
-        self.next_event.set(None);
         if let Some(a) = &mut self.audit {
             a.skip_refresh_steps(steps);
         }
@@ -376,36 +368,6 @@ impl Subchannel {
             }
         };
         Some(e.max(self.global_block))
-    }
-
-    /// The earliest instant strictly after the last issued command at
-    /// which this sub-channel's scheduling picture can change on its own:
-    /// a bank timing constraint releases, the global REF/RFM/ALERT block
-    /// lifts, or the next refresh becomes due.
-    ///
-    /// Contract: between `last_issue_at` and this instant every
-    /// [`Subchannel::earliest`] answer is constant, so a scheduler that
-    /// found nothing issuable before this instant may jump straight to
-    /// it. The value is cached and invalidated by every state mutation
-    /// ([`Subchannel::issue`] and the fault hooks), never recomputed per
-    /// probe.
-    pub fn next_interesting_ps(&self) -> Ps {
-        if let Some(v) = self.next_event.get() {
-            return v;
-        }
-        let after = self.last_issue_at;
-        let mut e = self.next_ref_due;
-        if self.global_block > after {
-            e = e.min(self.global_block);
-        }
-        for b in &self.banks {
-            let t = b.next_interesting_ps();
-            if t > after {
-                e = e.min(t);
-            }
-        }
-        self.next_event.set(Some(e));
-        e
     }
 
     /// The open row of bank `flat` (flat index within the sub-channel).
@@ -668,7 +630,6 @@ impl Subchannel {
                 }
             }
         };
-        self.next_event.set(None);
         // ALERT asserting exactly at this command opens the ABO window the
         // auditor polices (the MC samples the line at the same instant).
         if auditing && !was_asserted && self.alert_asserted() {
@@ -954,33 +915,6 @@ mod tests {
         sc.issue(Command::PreAll, e);
         assert_eq!(sc.open_banks(), 0);
         assert!(sc.all_precharged());
-    }
-
-    #[test]
-    fn next_interesting_caches_and_invalidates_on_issue() {
-        let mut sc = sc();
-        let t = sc.timing().clone();
-        // Fresh device: every bank is released at 0 (not after
-        // last_issue_at), so the next self-driven edge is the refresh.
-        assert_eq!(sc.next_interesting_ps(), t.t_refi);
-        sc.issue(
-            Command::Act {
-                bank: bank(0),
-                row: 1,
-            },
-            Ps::ZERO,
-        );
-        // The open bank's RD/WR release at tRCD now precedes the refresh,
-        // and the cached value was dropped by the issue.
-        assert_eq!(sc.next_interesting_ps(), t.t_rcd);
-        // Cached probe repeats the same answer.
-        assert_eq!(sc.next_interesting_ps(), t.t_rcd);
-        // A REF blocks everything for tRFC; the lifted block is the edge.
-        let e = sc.earliest(&Command::PreAll).unwrap();
-        sc.issue(Command::PreAll, e);
-        let e = sc.earliest(&Command::Ref).unwrap();
-        sc.issue(Command::Ref, e);
-        assert_eq!(sc.next_interesting_ps(), e + t.t_rfc);
     }
 
     #[test]

@@ -5,11 +5,9 @@
 //! position of a per-bank `RefPtr` that walks the bank sequentially, one
 //! subarray at a time, completing a full pass every tREFW.
 //!
-//! Refresh is also the event core's liveness anchor: the device's next REF
+//! Refresh is also the controller's liveness anchor: the device's next REF
 //! deadline (`Subchannel::next_ref_due`) guarantees the controller always
-//! has a bounded next action, so `MemController::next_event_ps` — the
-//! skip-ahead bound the sim layer takes over idle quanta — is total even
-//! when every queue is empty.
+//! has a bounded next action, even when every queue is empty.
 
 use crate::mitigation::RefreshSlice;
 

@@ -671,13 +671,6 @@ impl MemController {
         n
     }
 
-    /// The instant of the next command this controller will issue — its
-    /// contribution to the sim layer's next-event skip bound. Total: the
-    /// refresh fallback guarantees a pending command at all times.
-    pub fn next_event_ps(&mut self) -> Ps {
-        self.peek_next().1
-    }
-
     fn mark_all_stale(&mut self) {
         for e in &mut self.entries {
             e.kind = KIND_STALE;
@@ -703,13 +696,12 @@ impl MemController {
     /// Issues every command whose legal instant is at or before `t_end`,
     /// appending read/write completions to `out`.
     ///
-    /// Event-driven: the next command is served from the cross-call cache
+    /// The next command is served from the cross-call cache
     /// ([`MemController::peek_next`]) and per-bank candidates from the plan
     /// cache, so a pass with nothing to issue costs O(1) instead of a full
     /// bank scan. With opportunity counters armed, each call is one
     /// "scheduler pass": commands issued and the gap to the next pending
-    /// command past the window are recorded — the residual-waste picture
-    /// the skip-ahead sim loop acts on.
+    /// command past the window are recorded.
     pub fn run_until(&mut self, t_end: Ps, out: &mut Vec<Completion>) {
         let opp = self.opp;
         let mut pass_cmds: u64 = 0;
@@ -925,8 +917,8 @@ impl MemController {
         if opp {
             self.telemetry.inc(names::MC_OPP_SCHED_PASSES, 1);
             if pass_cmds == 0 {
-                // Under the event core an idle pass means "this window
-                // held no event", not "a full scan found nothing".
+                // The window held no command; the cached next command made
+                // that one comparison, not a bank scan.
                 self.telemetry.inc(names::MC_OPP_IDLE_PASSES, 1);
             }
             self.telemetry

@@ -6,11 +6,6 @@
 //! * [`proactive`] — Table II: thresholds tolerated by proactive MINT and
 //!   Mithril versus mitigation rate, refresh cannibalization, and the
 //!   621K-ACTs-per-tREFW worst case.
-//! * [`montecarlo`] — the attack engine: replays single-sided,
-//!   double-sided, many-sided, decoy and CGF-evading patterns against any
-//!   [`Mitigator`](mirza_dram::mitigation::Mitigator) with a faithful
-//!   REF/ALERT timeline, and measures the maximum unmitigated activation
-//!   count (Section VI's bounded quantity, Appendix B's reset attack).
 //! * [`dos`] — Section IX / Table XI / Appendix A: ACT-throughput models of
 //!   performance (denial-of-service) attacks on MIRZA, MINT+RFM and PRAC.
 //! * [`area`] — Section VIII-A / Table X: the 6F²-DRAM / 120F²-SRAM
@@ -19,7 +14,6 @@
 pub mod area;
 pub mod dos;
 pub mod mint_model;
-pub mod montecarlo;
 pub mod power;
 pub mod proactive;
 
@@ -30,7 +24,6 @@ pub mod prelude {
         mint_rfm_attack_slowdown, mirza_attack_slowdown, prac_attack_slowdown, table11, Table11Row,
     };
     pub use crate::mint_model::{escape_probability, monte_carlo_max_run};
-    pub use crate::montecarlo::{run_hammer, AttackOutcome, HammerHarness};
     pub use crate::power::{mirza_sram_power_fraction, refresh_power_overhead};
     pub use crate::proactive::{table2, Table2Row};
 }

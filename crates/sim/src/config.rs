@@ -210,12 +210,6 @@ pub struct SimConfig {
     /// run; exceeded ⇒ `SimError::Watchdog`. Excluded from
     /// [`SimConfig::to_json`] for the same reason.
     pub watchdog_wall: Option<std::time::Duration>,
-    /// Run the legacy eager quantum-stepped loop instead of the
-    /// next-event skip-ahead core. The two produce bit-identical results
-    /// (pinned by `sim/tests/event_core.rs`); the legacy loop exists for
-    /// that comparison and as a fallback. Excluded from
-    /// [`SimConfig::to_json`] so manifests stay comparable across loops.
-    pub legacy_loop: bool,
 }
 
 impl SimConfig {
@@ -239,7 +233,6 @@ impl SimConfig {
             track_row_acts: false,
             watchdog_idle_quanta: 1_000_000,
             watchdog_wall: None,
-            legacy_loop: false,
         }
     }
 

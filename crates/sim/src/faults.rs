@@ -380,23 +380,6 @@ impl FaultInjector {
         }
     }
 
-    /// Earliest instant any scheduled entry will next fire, or `None`
-    /// when nothing is pending (unscheduled plans, exhausted `max`
-    /// budgets). The event loop caps its skip-ahead at this instant's
-    /// quantum so injections land on exactly the same tick — with the
-    /// same RNG stream position — as under the legacy per-quantum walk.
-    pub fn next_due_ps(&self) -> Option<Ps> {
-        let inner = self.inner.borrow();
-        inner
-            .plan
-            .entries
-            .iter()
-            .zip(&inner.states)
-            .filter(|(e, s)| e.period > Ps::ZERO && s.fired < e.max)
-            .map(|(_, s)| s.next_due)
-            .min()
-    }
-
     /// True when the plan corrupts trace records (the runner then wraps
     /// every core's stream in a [`CorruptingStream`]).
     pub fn corrupts_trace(&self) -> bool {

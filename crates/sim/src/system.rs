@@ -7,7 +7,7 @@ use mirza_dram::mitigation::MitigationStats;
 use mirza_dram::stats::DeviceStats;
 use mirza_dram::time::Ps;
 use mirza_frontend::cache::{CacheOutcome, SetAssocCache};
-use mirza_frontend::core::{AccessResult, Core, RunStatus};
+use mirza_frontend::core::{AccessResult, Core};
 use mirza_frontend::hash::FxHashMap;
 use mirza_frontend::paging::PageAllocator;
 use mirza_frontend::trace::AccessStream;
@@ -226,21 +226,11 @@ impl System {
     /// flushed and any epoch series is closed at the stall boundary, so
     /// partial streams stay readable.
     ///
-    /// Dispatches to the next-event skip-ahead core, or to the legacy
-    /// eager per-quantum loop when `cfg.legacy_loop` is set. The two are
-    /// bit-identical (pinned by `sim/tests/event_core.rs`).
+    /// The loop walks every quantum boundary in turn. At each one it
+    /// re-runs every unfinished core up to the boundary, lets both
+    /// controllers schedule up to it, and delivers completions, repeating
+    /// until a pass neither enqueues a request nor delivers a completion.
     pub fn try_run(&mut self) -> Result<SimReport, SimError> {
-        if self.cfg.legacy_loop {
-            self.try_run_legacy()
-        } else {
-            self.try_run_event()
-        }
-    }
-
-    /// The legacy eager loop: every quantum boundary is visited and every
-    /// core re-run, whether or not anything can happen there. Kept for the
-    /// loop-equivalence test and as a fallback (`--legacy-loop`).
-    fn try_run_legacy(&mut self) -> Result<SimReport, SimError> {
         let quantum = self.cfg.quantum;
         let mut t_end = quantum;
         let mut completions: Vec<Completion> = Vec::new();
@@ -272,7 +262,9 @@ impl System {
             loop {
                 self.issued_this_pass = false;
                 let mut delivered = false;
-                // Same 1-in-PASS_SAMPLE span sampling as the event core.
+                // Sampled phase spans: time 1-in-PASS_SAMPLE passes and
+                // scale up, so the per-pass clock reads stay off the
+                // profile (see `profile_next_scaled`).
                 pass_tick = pass_tick.wrapping_add(1);
                 let p = if pass_tick.is_multiple_of(PASS_SAMPLE) {
                     tel.profile_start()
@@ -284,8 +276,7 @@ impl System {
                         continue;
                     }
                     let id = core.id() as usize;
-                    let _status: RunStatus =
-                        core.run(t_end, |v, s, now| self.memory_access(id, v, s, now));
+                    core.run(t_end, |v, s, now| self.memory_access(id, v, s, now));
                 }
                 let p = tel.profile_next_scaled(Phase::Frontend, p, PASS_SAMPLE);
                 for mc in &mut self.mcs {
@@ -380,244 +371,6 @@ impl System {
         Ok(report)
     }
 
-    /// The next-event skip-ahead loop. Semantically identical to
-    /// [`System::try_run_legacy`] — `sim/tests/event_core.rs` pins the two
-    /// bit-identical — but it avoids provably-idle work along two axes:
-    ///
-    /// - **Core parking.** A core that returned [`RunStatus::Blocked`] can
-    ///   do nothing until a completion reaches it: re-running it repeats
-    ///   the same failed MSHR/ROB check without side effects. Blocked cores
-    ///   are parked and woken by the delivery that unblocks them.
-    ///   Completions whose `done_at` lies beyond the current horizon are
-    ///   buffered as wake-up times and mature at the first boundary that
-    ///   covers them — the boundary where the legacy loop's eager re-run
-    ///   stops being a no-op.
-    /// - **Quantum skipping.** When every unfinished core is blocked, the
-    ///   clock jumps to the first quantum boundary that can host an event:
-    ///   the min over each controller's next legal command instant
-    ///   (`MemController::next_event_ps`), buffered future completions, the
-    ///   fault injector's next due time, and the watchdog deadline. The
-    ///   boundaries in between are no-ops in the legacy loop (no issue, no
-    ///   delivery, no RNG draw), so skipping them changes no simulator
-    ///   state — only wall-clock time.
-    ///
-    /// The watchdog budget is simulated time (`quantum *
-    /// watchdog_idle_quanta` ps) rather than a count of visited boundaries,
-    /// so a skip cannot out-run it: the skip bound caps at the deadline,
-    /// the loop lands there, and the stall fires at the same boundary the
-    /// legacy loop would have chosen.
-    fn try_run_event(&mut self) -> Result<SimReport, SimError> {
-        let quantum = self.cfg.quantum;
-        let mut t_end = quantum;
-        let mut completions: Vec<Completion> = Vec::new();
-        let mut cores = std::mem::take(&mut self.cores);
-        let mut heartbeat = self.cfg.heartbeat_every.map(Heartbeat::new);
-        let tel = self.telemetry.clone();
-        let faults = self.faults.clone();
-        let sample_epochs = tel.has_epochs();
-        let opp = tel.has_opportunity();
-        let wall = self
-            .cfg
-            .watchdog_wall
-            .map(|limit| (std::time::Instant::now(), limit));
-        let mut stalled: Option<String> = None;
-        // Watchdog idle budget in simulated picoseconds. A zero quantum
-        // (run_stalled) gives a zero budget: the stall fires at the first
-        // idle boundary, with nothing skippable in between.
-        let idle_budget_ps = quantum
-            .as_ps()
-            .saturating_mul(self.cfg.watchdog_idle_quanta);
-        let mut last_progress_end = Ps::ZERO;
-        // Per-core scheduling state: `runnable` marks cores the frontend
-        // must run at the current boundary; `status` holds each core's last
-        // RunStatus; `future` buffers delivered completions that mature
-        // beyond the current horizon, as wake-up times.
-        let mut runnable = vec![true; cores.len()];
-        let mut status = vec![RunStatus::HorizonReached; cores.len()];
-        let mut future: Vec<Vec<Ps>> = vec![Vec::new(); cores.len()];
-        let mut pass_tick: u32 = 0;
-        loop {
-            let done = cores
-                .iter()
-                .zip(&self.required)
-                .all(|(c, req)| !req || c.finished());
-            if done {
-                break;
-            }
-            if let Some(inj) = &faults {
-                inj.tick(t_end, &mut self.mcs);
-            }
-            let mut progressed_in_quantum = false;
-            loop {
-                self.issued_this_pass = false;
-                let mut delivered = false;
-                // Sampled phase spans: time 1-in-PASS_SAMPLE passes and
-                // scale up, so the per-pass clock reads stay off the
-                // profile (see `profile_next_scaled`).
-                pass_tick = pass_tick.wrapping_add(1);
-                let p = if pass_tick.is_multiple_of(PASS_SAMPLE) {
-                    tel.profile_start()
-                } else {
-                    None
-                };
-                for core in cores.iter_mut() {
-                    let id = core.id() as usize;
-                    if core.finished() || !runnable[id] {
-                        continue;
-                    }
-                    runnable[id] = false;
-                    status[id] = core.run(t_end, |v, s, now| self.memory_access(id, v, s, now));
-                }
-                let p = tel.profile_next_scaled(Phase::Frontend, p, PASS_SAMPLE);
-                for mc in &mut self.mcs {
-                    mc.run_until(t_end, &mut completions);
-                }
-                let p = tel.profile_next_scaled(Phase::Device, p, PASS_SAMPLE);
-                for c in completions.drain(..) {
-                    if let Some(owner) = self.token_owner.remove(&c.id) {
-                        cores[owner].complete(c.id, c.done_at);
-                        if c.done_at > t_end {
-                            future[owner].push(c.done_at);
-                        } else {
-                            runnable[owner] = true;
-                        }
-                        delivered = true;
-                    }
-                }
-                tel.profile_end_scaled(Phase::Scheduler, p, PASS_SAMPLE);
-                if !(self.issued_this_pass || delivered) {
-                    break;
-                }
-                progressed_in_quantum = true;
-            }
-            if progressed_in_quantum {
-                last_progress_end = t_end;
-            } else {
-                let idle_ps = t_end.as_ps() - last_progress_end.as_ps();
-                if idle_ps >= idle_budget_ps {
-                    let n = if quantum > Ps::ZERO {
-                        idle_ps / quantum.as_ps()
-                    } else {
-                        self.cfg.watchdog_idle_quanta
-                    };
-                    stalled = Some(format!("no forward progress for {n} quanta"));
-                    break;
-                }
-            }
-            if let Some((started, limit)) = wall {
-                if started.elapsed() >= limit {
-                    stalled = Some(format!(
-                        "wall-clock budget of {:.1}s exhausted",
-                        limit.as_secs_f64()
-                    ));
-                    break;
-                }
-            }
-            let p = tel.profile_start();
-            if let Some(hb) = heartbeat.as_mut() {
-                let retired = cores.iter().map(Core::instructions).sum();
-                if let Some(line) = hb.tick(retired, t_end.as_ps()) {
-                    // Locked, single-write stderr line: parallel sweep
-                    // workers heartbeat concurrently without splicing.
-                    mirza_telemetry::progress::line(&line);
-                }
-            }
-            if sample_epochs {
-                self.update_epoch_inputs(&cores);
-                tel.epoch_tick(t_end.as_ps());
-            }
-            tel.profile_end(Phase::Io, p);
-            let mut next = t_end + quantum;
-            let required_pending = cores
-                .iter()
-                .zip(&self.required)
-                .any(|(c, req)| *req && !c.finished());
-            if required_pending
-                && quantum > Ps::ZERO
-                && cores
-                    .iter()
-                    .all(|c| c.finished() || status[c.id() as usize] == RunStatus::Blocked)
-            {
-                // Min over everything that could make a boundary non-idle.
-                let mut bound = last_progress_end.as_ps().saturating_add(idle_budget_ps);
-                for mc in &mut self.mcs {
-                    bound = bound.min(mc.next_event_ps().as_ps());
-                }
-                for waits in &future {
-                    for d in waits {
-                        bound = bound.min(d.as_ps());
-                    }
-                }
-                if let Some(inj) = &faults {
-                    if let Some(due) = inj.next_due_ps() {
-                        bound = bound.min(due.as_ps());
-                    }
-                }
-                if bound > next.as_ps() {
-                    // Land on the first quantum boundary covering the
-                    // bound, so fault firing and completion delivery happen
-                    // at the same boundary the legacy loop uses.
-                    let k = (bound - t_end.as_ps()).div_ceil(quantum.as_ps());
-                    next = t_end + quantum * k;
-                    if opp {
-                        tel.observe(names::SIM_OPP_SKIP_TAKEN_NS, (next - t_end).as_ps() / 1000);
-                    }
-                }
-            }
-            for (i, core) in cores.iter().enumerate() {
-                if core.finished() {
-                    continue;
-                }
-                if status[i] != RunStatus::Blocked {
-                    runnable[i] = true;
-                }
-                let waits = &mut future[i];
-                if !waits.is_empty() {
-                    let before = waits.len();
-                    waits.retain(|d| *d > next);
-                    if waits.len() < before {
-                        runnable[i] = true;
-                    }
-                }
-            }
-            t_end = next;
-        }
-        self.cores = cores;
-        for mc in &mut self.mcs {
-            mc.finish_telemetry();
-        }
-        if sample_epochs {
-            let boundary = if stalled.is_some() {
-                t_end
-            } else {
-                t_end - quantum
-            };
-            tel.epoch_finish(boundary.as_ps());
-        }
-        if let Some(reason) = stalled {
-            return Err(SimError::Watchdog {
-                reason,
-                instructions: self.cores.iter().map(Core::instructions).sum(),
-                sim_time_ps: t_end.as_ps(),
-            });
-        }
-        if self.cfg.track_row_acts {
-            let max = self
-                .mcs
-                .iter()
-                .filter_map(|mc| mc.device().auditor())
-                .map(|a| u64::from(a.max_row_acts()))
-                .max()
-                .unwrap_or(0);
-            tel.set_counter(names::AUDIT_MAX_ROW_ACTS, max);
-        }
-        let p = tel.profile_start();
-        let report = self.build_report();
-        tel.profile_end(Phase::Report, p);
-        tel.spans_finish();
-        Ok(report)
-    }
-
     /// Refreshes the counters/gauges the epoch sampler snapshots: per-core
     /// retired instructions (IPC series), aggregate instructions, MC queue
     /// depth, and open-bank parallelism. Tracker/mitigation rates are
@@ -637,6 +390,15 @@ impl System {
         let open: usize = self.mcs.iter().map(|m| m.device().open_banks()).sum();
         self.telemetry
             .set_gauge(names::DRAM_OPEN_BANKS, open as f64);
+    }
+
+    /// The cores the run waits for (every core but the attackers).
+    fn required_cores(&self) -> impl Iterator<Item = &Core> {
+        self.cores
+            .iter()
+            .zip(&self.required)
+            .filter(|(_, req)| **req)
+            .map(|(c, _)| c)
     }
 
     fn build_report(&self) -> SimReport {
@@ -677,11 +439,8 @@ impl System {
             hist.extend_from_slice(mc.device().acts_per_subarray());
         }
         let elapsed = self
-            .cores
-            .iter()
-            .zip(&self.required)
-            .filter(|(_, req)| **req)
-            .map(|(c, _)| c.time())
+            .required_cores()
+            .map(Core::time)
             .max()
             .unwrap_or(Ps::ZERO);
         if self.telemetry.is_enabled() {
@@ -697,21 +456,17 @@ impl System {
             }
             self.telemetry
                 .set_gauge(names::SIM_ELAPSED_MS, elapsed.as_ps() as f64 / 1e9);
-            let mshr: u64 = self.cores.iter().map(|c| c.mshr_stall().as_ps()).sum();
-            let rob: u64 = self.cores.iter().map(|c| c.rob_stall().as_ps()).sum();
+            // Attacker cores are cut off mid-stall when the benign cores
+            // finish, so their stall time is excluded like their IPC.
+            let mshr: u64 = self.required_cores().map(|c| c.mshr_stall().as_ps()).sum();
+            let rob: u64 = self.required_cores().map(|c| c.rob_stall().as_ps()).sum();
             self.telemetry.set_counter(names::CORE_MSHR_STALL_PS, mshr);
             self.telemetry.set_counter(names::CORE_ROB_STALL_PS, rob);
         }
         SimReport {
             label: self.cfg.mitigation.label(),
             workload: self.workload.clone(),
-            core_ipc: self
-                .cores
-                .iter()
-                .zip(&self.required)
-                .filter(|(_, req)| **req)
-                .map(|(c, _)| c.ipc())
-                .collect(),
+            core_ipc: self.required_cores().map(Core::ipc).collect(),
             instructions: self.cores.iter().map(Core::instructions).sum(),
             elapsed,
             device,

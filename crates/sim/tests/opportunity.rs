@@ -1,11 +1,10 @@
-//! Opportunity-counter purity: arming the event-core opportunity counters
+//! Opportunity-counter purity: arming the scheduler opportunity counters
 //! (`Telemetry::with_opportunity`) must not change anything the simulation
 //! computes — they are read-only probes of the scheduler hot path. Also
 //! checks the counters actually record plausible values when armed.
 
 use mirza_core::config::MirzaConfig;
 use mirza_core::rct::ResetPolicy;
-use mirza_dram::time::Ps;
 use mirza_frontend::trace::{TraceOp, VecStream};
 use mirza_sim::config::{MitigationConfig, SimConfig};
 use mirza_sim::system::{CoreSetup, System};
@@ -91,43 +90,5 @@ fn opportunity_counters_record_plausible_values() {
     assert_eq!(
         cmds_per_pass, passes,
         "every pass lands one observation in the per-pass histogram"
-    );
-}
-
-/// The event loop records the simulated time it actually jumps. A
-/// same-bank row-conflict stream is paced by tRC (~46 ns): with a 10 ns
-/// quantum the core sits MSHR-blocked across several boundaries between
-/// consecutive ACTs, so the skip histogram must fill, and every recorded
-/// skip spans more than one quantum.
-#[test]
-fn event_loop_records_taken_skips() {
-    let telemetry = Telemetry::enabled().with_opportunity();
-    let mut cfg = SimConfig::new(mitigator(4), 10_000);
-    cfg.quantum = Ps::from_ns(10);
-    let ops: Vec<TraceOp> = (0..1500u64)
-        .map(|i| TraceOp {
-            nonmem: 3,
-            vaddr: i * 64 * 4 * 64 * 17, // jump rows, same few banks
-            is_store: false,
-        })
-        .collect();
-    let setups = vec![CoreSetup::benign(Box::new(VecStream::once(ops)), 10_000)];
-    let mut sys = System::new(cfg, "opportunity-skips", setups);
-    sys.set_telemetry(telemetry.clone());
-    let report = sys.run();
-    assert!(report.instructions > 0);
-    let skips = telemetry
-        .with_recorder(|r| {
-            r.registry
-                .histogram(names::SIM_OPP_SKIP_TAKEN_NS)
-                .map(mirza_telemetry::Histogram::summary)
-        })
-        .expect("recorder is enabled")
-        .expect("a tRC-paced stream on a 10 ns grid must skip boundaries");
-    assert!(skips.count > 0, "skips were recorded");
-    assert!(
-        skips.max >= 20,
-        "skips jump more than one quantum, max {} ns",
-        skips.max
     );
 }

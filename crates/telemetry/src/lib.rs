@@ -134,7 +134,7 @@ impl Telemetry {
         self
     }
 
-    /// Arms the hot-path opportunity counters (`mc.opp_*`, `dram.opp_*`).
+    /// Arms the hot-path opportunity counters (`mc.opp_*`).
     pub fn with_opportunity(self) -> Self {
         if let Some(inner) = &self.inner {
             inner.borrow_mut().opportunity = true;
@@ -179,8 +179,8 @@ impl Telemetry {
             .is_some_and(|i| i.borrow().spans.is_some())
     }
 
-    /// Whether opportunity counters are armed. Cached by the controller
-    /// and device at `set_telemetry` time, like [`Telemetry::has_spans`].
+    /// Whether opportunity counters are armed. Cached by the controller at
+    /// `set_telemetry` time, like [`Telemetry::has_spans`].
     pub fn has_opportunity(&self) -> bool {
         self.inner.as_ref().is_some_and(|i| i.borrow().opportunity)
     }
@@ -268,8 +268,8 @@ impl Telemetry {
     /// clock read: the instant that closes `phase` is returned as the
     /// start of the following span. Back-to-back phases in a hot loop
     /// should chain through this instead of paying `profile_end` +
-    /// `profile_start` (two reads) per boundary — on the event core the
-    /// vDSO `clock_gettime` calls are otherwise visible in profiles.
+    /// `profile_start` (two reads) per boundary — in the simulation loop
+    /// the vDSO `clock_gettime` calls are otherwise visible in profiles.
     pub fn profile_next(&self, phase: Phase, start: Option<Instant>) -> Option<Instant> {
         self.profile_next_scaled(phase, start, 1)
     }

@@ -36,22 +36,21 @@ pub const MC_RFMS: &str = "mc.rfms";
 /// Gauge: outstanding requests across all bank queues (epoch input).
 pub const MC_QUEUE_DEPTH: &str = "mc.queue_depth";
 
-// --- Hot-path opportunity counters (memctrl::controller, sim::system) ---
+// --- Hot-path opportunity counters (memctrl::controller) ---
 //
-// Armed with `Telemetry::with_opportunity`; they size the residual waste
-// left in the event-driven core (ROADMAP item 2). A "pass" is one
-// `run_until` call — the system's inner progress loop makes at least one
-// per visited quantum per controller.
+// Armed with `Telemetry::with_opportunity`; they size the scheduler work
+// that issues nothing. A "pass" is one `run_until` call — the system's
+// inner progress loop makes at least one per quantum per controller.
 
 /// Counter: scheduler passes (`run_until` calls) executed.
 pub const MC_OPP_SCHED_PASSES: &str = "mc.opp_sched_passes";
-/// Counter: scheduler passes that issued zero commands — under the event
-/// core, windows visited that held no device event.
+/// Counter: scheduler passes that issued zero commands — quanta whose
+/// window held no command.
 pub const MC_OPP_IDLE_PASSES: &str = "mc.opp_idle_passes";
 /// Histogram: commands issued per scheduler pass.
 pub const MC_OPP_CMDS_PER_PASS: &str = "mc.opp_cmds_per_pass";
 /// Histogram: gap from the window end to the next pending command's legal
-/// instant, in nanoseconds — the time a next-event loop could skip.
+/// instant, in nanoseconds.
 pub const MC_OPP_SKIP_GAP_NS: &str = "mc.opp_skip_gap_ns";
 
 // --- Device metrics (dram::device, sim::system) ---
@@ -67,9 +66,6 @@ pub const DRAM_ACTS_PER_SUBARRAY: &str = "dram.acts_per_subarray";
 pub const SIM_INSTRUCTIONS: &str = "sim.instructions";
 /// Gauge: simulated time at end of run, in milliseconds.
 pub const SIM_ELAPSED_MS: &str = "sim.elapsed_ms";
-/// Histogram: simulated time the event loop actually jumped past quantum
-/// boundaries with every core blocked, in nanoseconds per skip.
-pub const SIM_OPP_SKIP_TAKEN_NS: &str = "sim.opp_skip_taken_ns";
 
 // --- LLC metrics (sim::system) ---
 
@@ -78,9 +74,11 @@ pub const LLC_HIT_RATE: &str = "llc.hit_rate";
 
 // --- Frontend core metrics (sim::system, from frontend::core) ---
 
-/// Counter: time cores spent stalled on a full MSHR, in picoseconds.
+/// Counter: time benign cores spent stalled on a full MSHR, in picoseconds
+/// (attacker cores are left out, like their IPC).
 pub const CORE_MSHR_STALL_PS: &str = "core.mshr_stall_ps";
-/// Counter: time cores spent stalled on the ROB-limit load, in picoseconds.
+/// Counter: time benign cores spent stalled on the ROB-limit load, in
+/// picoseconds.
 pub const CORE_ROB_STALL_PS: &str = "core.rob_stall_ps";
 
 /// Counters: per-core retired instructions (epoch inputs). Static names so
@@ -214,7 +212,6 @@ pub const ALL_METRICS: &[&str] = &[
     DRAM_ACTS_PER_SUBARRAY,
     SIM_INSTRUCTIONS,
     SIM_ELAPSED_MS,
-    SIM_OPP_SKIP_TAKEN_NS,
     LLC_HIT_RATE,
     CORE_MSHR_STALL_PS,
     CORE_ROB_STALL_PS,

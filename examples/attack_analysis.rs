@@ -4,12 +4,12 @@
 //!
 //! Run with: `cargo run --release --example attack_analysis`
 
+use mirza::attacks::rig::run_hammer;
 use mirza::core::config::MirzaConfig;
 use mirza::core::mirza::Mirza;
 use mirza::dram::geometry::Geometry;
 use mirza::dram::mitigation::Mitigator;
 use mirza::dram::timing::TimingParams;
-use mirza::security::montecarlo::run_hammer;
 use mirza::trackers::prac::PracMoat;
 use mirza::trackers::trr::Trr;
 use mirza::workloads::attacks::RowPattern;

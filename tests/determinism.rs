@@ -53,10 +53,10 @@ fn different_seeds_change_the_traffic() {
 
 #[test]
 fn attack_harness_is_deterministic() {
+    use mirza::attacks::rig::run_hammer;
     use mirza::core::mirza::Mirza;
     use mirza::dram::geometry::Geometry;
     use mirza::dram::timing::TimingParams;
-    use mirza::security::montecarlo::run_hammer;
     use mirza::workloads::attacks::RowPattern;
 
     let geom = Geometry::ddr5_32gb();

@@ -2,13 +2,13 @@
 //! bounds every implemented attack pattern by its Section-VI analytic
 //! threshold, while the insecure designs demonstrably fail.
 
+use mirza::attacks::rig::run_hammer;
 use mirza::core::config::MirzaConfig;
 use mirza::core::mirza::Mirza;
 use mirza::core::rct::ResetPolicy;
 use mirza::dram::geometry::Geometry;
 use mirza::dram::mitigation::Mitigator;
 use mirza::dram::timing::TimingParams;
-use mirza::security::montecarlo::run_hammer;
 use mirza::workloads::attacks::RowPattern;
 
 fn geom() -> Geometry {

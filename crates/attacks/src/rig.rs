@@ -134,12 +134,18 @@ impl<'a> HammerHarness<'a> {
 
     /// The feedback an on-device adversary observes right now.
     pub fn feedback(&self) -> Feedback {
+        self.feedback_with(self.mitigator.alert_pending())
+    }
+
+    /// [`feedback`](Self::feedback) for a caller that has already polled
+    /// ALERT since the mitigator last changed.
+    fn feedback_with(&self, alert_pending: bool) -> Feedback {
         Feedback {
             now: self.now,
             interval: self.intervals,
             refs: self.outcome.refs,
             alerts: self.outcome.alerts,
-            alert_pending: self.mitigator.alert_pending(),
+            alert_pending,
             acts_since_alert: self.acts_since_alert,
             slots_since_alert: self.slots_since_alert,
             total_acts: self.outcome.total_acts,
@@ -210,6 +216,11 @@ impl<'a> HammerHarness<'a> {
     /// back-off is a bus-level sequence the attacker cannot opt out of),
     /// and a pending ALERT is serviced even across idle slots — the memory
     /// controller issues the RFM whether or not the attacker activates.
+    ///
+    /// ALERT is polled once per slot: the schedule and an idle slot leave
+    /// the mitigator alone, so that one poll serves the slot's feedback and
+    /// its idle-ALERT check. Prologue slots poll again, since each prologue
+    /// ACT can move the mitigator.
     pub fn interval_with(
         &mut self,
         strategy: &mut dyn AddressStrategy,
@@ -217,7 +228,8 @@ impl<'a> HammerHarness<'a> {
     ) {
         let mut budget = i64::from(self.acts_per_interval);
         while budget > 0 {
-            if self.mitigator.alert_pending() && self.acts_since_alert >= 1 {
+            let alert_pending = self.mitigator.alert_pending();
+            if alert_pending && self.acts_since_alert >= 1 {
                 for _ in 0..PROLOGUE_ACTS {
                     if budget > 0 {
                         let fb = self.feedback();
@@ -228,7 +240,7 @@ impl<'a> HammerHarness<'a> {
                 }
                 self.service_alert(&mut budget);
             } else {
-                let fb = self.feedback();
+                let fb = self.feedback_with(alert_pending);
                 match schedule.decide(&fb) {
                     Action::Hammer => {
                         let row = strategy.next_row(&fb);
@@ -240,7 +252,7 @@ impl<'a> HammerHarness<'a> {
                         budget -= i64::from(n);
                         self.now += self.t_rc * u64::from(n);
                         self.slots_since_alert += u64::from(n);
-                        if self.mitigator.alert_pending() {
+                        if alert_pending {
                             // The attacker is quiet but the device still
                             // asserts ALERT: the MC services it anyway.
                             self.service_alert(&mut budget);

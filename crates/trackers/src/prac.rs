@@ -1,10 +1,13 @@
 //! PRAC + ABO with the MOAT policy (Sections II-G, VII).
 //!
 //! Per-Row Activation Counting keeps one counter in the DRAM array per row,
-//! incremented on every ACT. MOAT raises ALERT when any counter crosses the
-//! *Alert Threshold* (ATH); the back-off RFM mitigates the hottest tracked
-//! row per bank and clears its counter. Row counters are cleared when the
-//! refresh-pointer walk refreshes the row.
+//! incremented on every ACT. A row whose counter reaches the *Alert
+//! Threshold* (ATH) joins its bank's pending stack, and ALERT stays raised
+//! while any bank has a pending row. Each back-off RFM pops the most recent
+//! row to reach ATH in every bank (last in, first out; not necessarily the
+//! bank's hottest row), mitigates it and clears its counter. Row counters
+//! are cleared when the refresh-pointer walk refreshes the row, which also
+//! drops the row from its pending stack.
 //!
 //! The *performance* cost of PRAC (inflated tRP/tRAS/tRC) is modeled by
 //! running the device with [`TimingParams::ddr5_6000_prac`]; this module
@@ -25,8 +28,11 @@ pub struct PracMoat {
     rows_per_bank: u32,
     /// Per-bank, per-row activation counters.
     counters: Vec<Vec<u16>>,
-    /// Rows at/above ATH awaiting mitigation, per bank.
+    /// Rows at/above ATH awaiting mitigation, per bank, in the order they
+    /// reached ATH.
     pending: Vec<Vec<u32>>,
+    /// Total length of the `pending` lists: ALERT is `pending_rows > 0`.
+    pending_rows: usize,
     stats: MitigationStats,
     log: MitigationLog,
 }
@@ -60,6 +66,7 @@ impl PracMoat {
             rows_per_bank: geom.rows_per_bank,
             counters: vec![vec![0; geom.rows_per_bank as usize]; banks],
             pending: vec![Vec::new(); banks],
+            pending_rows: 0,
             stats: MitigationStats::default(),
             log: MitigationLog::new(),
         }
@@ -97,24 +104,31 @@ impl Mitigator for PracMoat {
         self.stats.acts_observed += 1;
         self.stats.acts_candidate += 1;
         let c = &mut self.counters[bank][row as usize];
-        *c = c.saturating_add(1);
-        if u32::from(*c) == self.ath {
+        // Queue the row on the ACT that moves its counter onto ATH. At
+        // ATH = u16::MAX the saturated counter stays there, and later ACTs
+        // must not queue the row again.
+        if u32::from(*c) + 1 == self.ath {
             self.pending[bank].push(row);
+            self.pending_rows += 1;
         }
+        *c = c.saturating_add(1);
     }
 
     fn alert_pending(&self) -> bool {
-        self.pending.iter().any(|p| !p.is_empty())
+        self.pending_rows > 0
     }
 
     fn on_ref(&mut self, slice: &RefreshSlice, _now: Ps) {
+        debug_assert!(slice.phys_rows.end <= self.rows_per_bank);
+        let refreshed = slice.phys_rows.start as usize..slice.phys_rows.end as usize;
         // Refreshed rows restart their disturbance budget.
-        for bank in 0..self.counters.len() {
-            for phys in slice.phys_rows.clone() {
-                debug_assert!(phys < self.rows_per_bank);
-                self.counters[bank][phys as usize] = 0;
+        for (counters, pending) in self.counters.iter_mut().zip(&mut self.pending) {
+            counters[refreshed.clone()].fill(0);
+            if !pending.is_empty() {
+                let before = pending.len();
+                pending.retain(|&r| u32::from(counters[r as usize]) >= self.ath);
+                self.pending_rows -= before - pending.len();
             }
-            self.pending[bank].retain(|&r| u32::from(self.counters[bank][r as usize]) >= self.ath);
         }
     }
 
@@ -122,8 +136,12 @@ impl Mitigator for PracMoat {
         if alert {
             self.stats.alerts_requested += 1;
         }
+        if self.pending_rows == 0 {
+            return;
+        }
         for bank in 0..self.pending.len() {
             if let Some(row) = self.pending[bank].pop() {
+                self.pending_rows -= 1;
                 self.mitigate(bank, row);
             }
         }
@@ -145,6 +163,7 @@ impl Mitigator for PracMoat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn geom() -> Geometry {
         Geometry {
@@ -157,6 +176,147 @@ mod tests {
             subarrays_per_bank: 4,
             rows_per_ref: 16,
         }
+    }
+
+    /// PRAC+MOAT without the running pending count: ALERT walks every
+    /// bank's pending list and REF clears refreshed rows one at a time.
+    struct Reference {
+        ath: u32,
+        mapping: RowMapping,
+        counters: Vec<Vec<u16>>,
+        pending: Vec<Vec<u32>>,
+        stats: MitigationStats,
+        log: Vec<(usize, u32)>,
+    }
+
+    impl Reference {
+        fn new(ath: u32, geom: &Geometry) -> Self {
+            let banks = geom.banks_per_subchannel() as usize;
+            Reference {
+                ath,
+                mapping: RowMapping::for_geometry(MappingScheme::Sequential, geom),
+                counters: vec![vec![0; geom.rows_per_bank as usize]; banks],
+                pending: vec![Vec::new(); banks],
+                stats: MitigationStats::default(),
+                log: Vec::new(),
+            }
+        }
+
+        fn on_activate(&mut self, bank: usize, row: u32) {
+            self.stats.acts_observed += 1;
+            self.stats.acts_candidate += 1;
+            let c = &mut self.counters[bank][row as usize];
+            let before = *c;
+            *c = c.saturating_add(1);
+            if *c != before && u32::from(*c) == self.ath {
+                self.pending[bank].push(row);
+            }
+        }
+
+        fn alert_pending(&self) -> bool {
+            self.pending.iter().any(|p| !p.is_empty())
+        }
+
+        fn on_ref(&mut self, slice: &RefreshSlice) {
+            for bank in 0..self.counters.len() {
+                for phys in slice.phys_rows.clone() {
+                    self.counters[bank][phys as usize] = 0;
+                }
+                let counters = &self.counters[bank];
+                self.pending[bank].retain(|&r| u32::from(counters[r as usize]) >= self.ath);
+            }
+        }
+
+        fn on_rfm(&mut self, alert: bool) {
+            if alert {
+                self.stats.alerts_requested += 1;
+            }
+            for bank in 0..self.pending.len() {
+                if let Some(row) = self.pending[bank].pop() {
+                    self.counters[bank][row as usize] = 0;
+                    self.stats.mitigations += 1;
+                    self.stats.victim_rows_refreshed += self.mapping.neighbors(row, 2).len() as u64;
+                    self.log.push((bank, row));
+                }
+            }
+        }
+    }
+
+    fn small_geom() -> Geometry {
+        Geometry {
+            rows_per_bank: 64,
+            rows_per_ref: 8,
+            ..geom()
+        }
+    }
+
+    proptest! {
+        /// Random ACT/REF/RFM sequences over a few hot rows: ALERT equals
+        /// "some bank has a pending row" after every step, and counters,
+        /// stats and mitigated rows match the reference.
+        #[test]
+        fn running_pending_count_matches_reference(
+            ath in 1u32..6,
+            alphabet in 1u32..48,
+            ops in prop::collection::vec((0u8..16, 0usize..2, any::<u32>()), 0..600),
+        ) {
+            let g = small_geom();
+            let mut prac = PracMoat::new(ath, &g);
+            let mut reference = Reference::new(ath, &g);
+            let slices = u64::from(g.rows_per_bank / g.rows_per_ref);
+            let mut refs = 0u64;
+            for (op, bank, r) in ops {
+                match op {
+                    0..=11 => {
+                        prac.on_activate(bank, r % alphabet, Ps::ZERO);
+                        reference.on_activate(bank, r % alphabet);
+                    }
+                    12 | 13 => {
+                        let start = (refs % slices) as u32 * g.rows_per_ref;
+                        let slice = RefreshSlice {
+                            index: refs,
+                            phys_rows: start..start + g.rows_per_ref,
+                        };
+                        refs += 1;
+                        prac.on_ref(&slice, Ps::ZERO);
+                        reference.on_ref(&slice);
+                    }
+                    _ => {
+                        prac.on_rfm(op == 14, Ps::ZERO);
+                        reference.on_rfm(op == 14);
+                    }
+                }
+                prop_assert_eq!(prac.alert_pending(), prac.pending.iter().any(|p| !p.is_empty()));
+                prop_assert_eq!(prac.alert_pending(), reference.alert_pending());
+                prop_assert_eq!(prac.stats(), reference.stats);
+                for b in 0..2 {
+                    for row in 0..g.rows_per_bank {
+                        prop_assert_eq!(
+                            prac.counter(b, row),
+                            u32::from(reference.counters[b][row as usize])
+                        );
+                    }
+                }
+            }
+            prop_assert_eq!(prac.drain_mitigations(), reference.log);
+        }
+    }
+
+    #[test]
+    fn saturated_counter_queues_its_row_once() {
+        // At ATH = u16::MAX the counter saturates on ATH itself: only the
+        // ACT that reaches ATH queues the row, not the ones after it.
+        let mut p = PracMoat::new(u32::from(u16::MAX), &geom());
+        for _ in 0..70_000 {
+            p.on_activate(0, 7, Ps::ZERO);
+        }
+        assert_eq!(p.pending[0], vec![7]);
+        assert!(p.alert_pending());
+        p.on_rfm(true, Ps::ZERO);
+        assert_eq!(p.counter(0, 7), 0);
+        assert!(!p.alert_pending(), "one RFM clears the only queued copy");
+        p.on_rfm(true, Ps::ZERO);
+        assert_eq!(p.stats().mitigations, 1, "no stale copy is mitigated again");
     }
 
     #[test]

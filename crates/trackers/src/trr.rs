@@ -14,16 +14,16 @@ use mirza_dram::geometry::Geometry;
 use mirza_dram::mitigation::{MitigationLog, MitigationStats, Mitigator, RefreshSlice};
 use mirza_dram::time::Ps;
 
-#[derive(Debug, Clone, Copy)]
-struct TrrEntry {
-    row: u32,
-    count: u32,
-}
+use crate::summary::{last_max, position, SummaryEntry};
 
-/// FIFO-recycling tracker table (no count adoption on eviction).
+/// FIFO-recycling tracker table (no count adoption on eviction). Rows and
+/// counts are index-aligned flat arrays, like [`SpaceSaving`]'s.
+///
+/// [`SpaceSaving`]: crate::summary::SpaceSaving
 #[derive(Debug, Clone)]
 struct TrrTable {
-    entries: Vec<TrrEntry>,
+    rows: Vec<u32>,
+    counts: Vec<u32>,
     capacity: usize,
     fifo: usize,
 }
@@ -31,43 +31,40 @@ struct TrrTable {
 impl TrrTable {
     fn new(capacity: usize) -> Self {
         TrrTable {
-            entries: Vec::with_capacity(capacity),
+            rows: Vec::with_capacity(capacity),
+            counts: Vec::with_capacity(capacity),
             capacity,
             fifo: 0,
         }
     }
 
     fn observe(&mut self, row: u32) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.row == row) {
-            e.count += 1;
-            return;
+        if let Some(i) = position(&self.rows, row) {
+            self.counts[i] += 1;
+        } else if self.rows.len() < self.capacity {
+            self.rows.push(row);
+            self.counts.push(1);
+        } else {
+            // History of the recycled entry is lost — the TRR weakness.
+            self.rows[self.fifo] = row;
+            self.counts[self.fifo] = 1;
+            self.fifo = (self.fifo + 1) % self.capacity;
         }
-        if self.entries.len() < self.capacity {
-            self.entries.push(TrrEntry { row, count: 1 });
-            return;
-        }
-        // History of the recycled entry is lost — the TRR weakness.
-        self.entries[self.fifo] = TrrEntry { row, count: 1 };
-        self.fifo = (self.fifo + 1) % self.capacity;
     }
 
-    fn pop_max(&mut self) -> Option<TrrEntry> {
-        let (i, _) = self
-            .entries
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, e)| e.count)?;
+    fn pop_max(&mut self) -> Option<SummaryEntry> {
+        let i = last_max(&self.counts)?;
         if i < self.fifo {
             self.fifo -= 1;
         }
-        Some(self.entries.swap_remove(i))
+        Some(SummaryEntry {
+            row: self.rows.swap_remove(i),
+            count: self.counts.swap_remove(i),
+        })
     }
 
     fn count(&self, row: u32) -> u32 {
-        self.entries
-            .iter()
-            .find(|e| e.row == row)
-            .map_or(0, |e| e.count)
+        position(&self.rows, row).map_or(0, |i| self.counts[i])
     }
 }
 
@@ -167,6 +164,78 @@ impl Mitigator for Trr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The array-of-structs table the flat one replaced: the reference for
+    /// its FIFO recycling and tie rules.
+    struct ReferenceTable {
+        entries: Vec<SummaryEntry>,
+        capacity: usize,
+        fifo: usize,
+    }
+
+    impl ReferenceTable {
+        fn observe(&mut self, row: u32) {
+            if let Some(e) = self.entries.iter_mut().find(|e| e.row == row) {
+                e.count += 1;
+                return;
+            }
+            if self.entries.len() < self.capacity {
+                self.entries.push(SummaryEntry { row, count: 1 });
+                return;
+            }
+            self.entries[self.fifo] = SummaryEntry { row, count: 1 };
+            self.fifo = (self.fifo + 1) % self.capacity;
+        }
+
+        fn pop_max(&mut self) -> Option<SummaryEntry> {
+            let (i, _) = self
+                .entries
+                .iter()
+                .enumerate()
+                .max_by_key(|(_, e)| e.count)?;
+            if i < self.fifo {
+                self.fifo -= 1;
+            }
+            Some(self.entries.swap_remove(i))
+        }
+    }
+
+    proptest! {
+        /// Random `observe`/`pop_max` sequences over a small row alphabet
+        /// (hits, FIFO recycling with wrap, count ties) leave the flat
+        /// table and the reference with equal entries and FIFO pointer, and
+        /// pop the same entries.
+        #[test]
+        fn flat_table_matches_reference(
+            capacity in 1usize..20,
+            alphabet in 1u32..40,
+            ops in prop::collection::vec((0u8..8, any::<u32>()), 0..400),
+        ) {
+            let mut flat = TrrTable::new(capacity);
+            let mut reference = ReferenceTable {
+                entries: Vec::new(),
+                capacity,
+                fifo: 0,
+            };
+            for (op, r) in ops {
+                if op == 0 {
+                    prop_assert_eq!(flat.pop_max(), reference.pop_max());
+                } else {
+                    flat.observe(r % alphabet);
+                    reference.observe(r % alphabet);
+                }
+                let entries: Vec<SummaryEntry> = flat
+                    .rows
+                    .iter()
+                    .zip(&flat.counts)
+                    .map(|(&row, &count)| SummaryEntry { row, count })
+                    .collect();
+                prop_assert_eq!(entries, reference.entries.clone());
+                prop_assert_eq!(flat.fifo, reference.fifo);
+            }
+        }
+    }
 
     fn geom() -> Geometry {
         Geometry {

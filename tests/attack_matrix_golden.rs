@@ -4,27 +4,41 @@
 //! `results/attack_matrix.csv` byte for byte. Every attacker ACT of every
 //! cell goes through a tracker hook, so a change to MIRZA, PRAC+MOAT,
 //! Mithril or TRR bookkeeping — or to the rig's slot loop — that moves a
-//! single output bit fails here.
+//! single output bit fails here. The typed cells must also be well formed
+//! and cover the roster's floors.
 
-use mirza_bench::attack_matrix::{run_matrix_supervised, MatrixRunConfig, MatrixSpec};
+use std::collections::BTreeSet;
+use std::sync::OnceLock;
+
+use mirza_bench::attack_matrix::{
+    run_matrix_supervised, MatrixCell, MatrixResult, MatrixRunConfig, MatrixSpec,
+};
 use mirza_bench::scale::Scale;
 use mirza_telemetry::Telemetry;
 
 const GOLDEN: &str = include_str!("../results/attack_matrix.csv");
 
+/// The `--fast` matrix, swept once serially and shared by every test here.
+fn fast_matrix() -> &'static MatrixResult {
+    static MATRIX: OnceLock<MatrixResult> = OnceLock::new();
+    MATRIX.get_or_init(|| {
+        let outcome = run_matrix_supervised(
+            &MatrixSpec::for_scale(Scale::fast()),
+            &Telemetry::disabled(),
+            &MatrixRunConfig {
+                jobs: 1,
+                journal: None,
+                resume: false,
+            },
+        );
+        assert!(outcome.complete(), "failed cells: {:?}", outcome.failures);
+        outcome.result
+    })
+}
+
 #[test]
 fn fast_matrix_matches_committed_csv() {
-    let outcome = run_matrix_supervised(
-        &MatrixSpec::for_scale(Scale::fast()),
-        &Telemetry::disabled(),
-        &MatrixRunConfig {
-            jobs: 1,
-            journal: None,
-            resume: false,
-        },
-    );
-    assert!(outcome.complete(), "failed cells: {:?}", outcome.failures);
-    let csv = outcome.result.to_csv();
+    let csv = fast_matrix().to_csv();
     if let Some((line, (want, got))) = GOLDEN
         .lines()
         .zip(csv.lines())
@@ -42,4 +56,34 @@ fn fast_matrix_matches_committed_csv() {
         "row count differs from results/attack_matrix.csv"
     );
     assert_eq!(csv, GOLDEN, "trailing bytes differ");
+}
+
+#[test]
+fn every_cell_is_well_formed() {
+    for c in &fast_matrix().cells {
+        let id = format!("{}/{}/{}/{}", c.strategy, c.schedule, c.mitigator, c.seed);
+        assert!(c.trials > 0, "{id}: no trials");
+        assert!(c.successes <= c.trials, "{id}: {c:?}");
+        assert!(c.bound > 0, "{id}: zero bound");
+        assert!(
+            c.successes == 0 || c.max_row_acts >= c.bound,
+            "{id}: a success below the bound: {c:?}"
+        );
+    }
+}
+
+#[test]
+fn the_roster_meets_its_coverage_floors() {
+    let cells = &fast_matrix().cells;
+    assert!(cells.len() >= 48, "only {} cells", cells.len());
+    let distinct =
+        |axis: fn(&MatrixCell) -> String| -> BTreeSet<String> { cells.iter().map(axis).collect() };
+    for (name, values, floor) in [
+        ("strategies", distinct(|c| c.strategy.clone()), 4),
+        ("schedules", distinct(|c| c.schedule.clone()), 3),
+        ("mitigators", distinct(|c| c.mitigator.to_string()), 2),
+        ("seeds", distinct(|c| c.seed.to_string()), 2),
+    ] {
+        assert!(values.len() >= floor, "{name}: {values:?}, need >= {floor}");
+    }
 }

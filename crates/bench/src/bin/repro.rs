@@ -26,7 +26,9 @@
 //! (`--strict-audit` additionally fails the run on any violation);
 //! `--compare BASELINE.json` re-runs the named experiments and exits
 //! nonzero if the deterministic manifest sections diverge from the
-//! baseline.
+//! baseline. Both gate flags are usage errors (exit 1) on targets that
+//! write no manifest: `attack-matrix`, `attribution`, `report`,
+//! `watchdog-demo` and trace replay.
 //!
 //! Robustness flags: `--faults PLAN` injects a canned fault plan
 //! (`rct-seu`, `abo-drop`, `queue-loss`, `refresh-skip`, `trace-corrupt`,
@@ -534,7 +536,18 @@ fn main() -> ExitCode {
         Some(Err(e)) => return fail(&e),
         None => None,
     };
-    if target.ends_with(".trace") || target.contains('/') {
+    let replay = target.ends_with(".trace") || target.contains('/');
+    let standalone = replay
+        || target == "watchdog-demo"
+        || MATRIX_EXPERIMENTS.contains(&target.as_str())
+        || OBSERVATORY_EXPERIMENTS.contains(&target.as_str());
+    if standalone && (compare.is_some() || strict_audit) {
+        // Both flags gate a run manifest; these targets write none, so the
+        // gate would pass without checking anything.
+        eprintln!("error: --compare and --strict-audit need a manifest; `{target}` writes none");
+        return ExitCode::FAILURE;
+    }
+    if replay {
         return replay_trace(std::path::Path::new(&target), scale, watchdog);
     }
     if target == "watchdog-demo" {

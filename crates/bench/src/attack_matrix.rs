@@ -47,7 +47,8 @@ use mirza_trackers::trr::Trr;
 
 use crate::scale::Scale;
 
-/// Fixed CSV header; `scripts/attack_gate.py` fails CI on any drift.
+/// Fixed CSV header; root `tests/attack_matrix_golden.rs` fails on any
+/// drift.
 pub const CSV_HEADER: &str =
     "strategy,schedule,mitigator,seed,trials,successes,success_prob,max_row_acts,bound,total_acts,alerts";
 

@@ -9,9 +9,9 @@
 //! refresh, RFM). The rows answer *why* a mitigator is slow, where the
 //! Table-4 manifest only says *how much* slower it is.
 //!
-//! `scripts/attribution_gate.py` fails CI when the CSV header drifts,
-//! when any row's buckets fail to sum exactly to its total stall, or
-//! when the baseline rows diverge from `results/baseline_fast.json`.
+//! Root `tests/artifacts.rs` fails when the committed CSV's header
+//! drifts, when any row's buckets fail to sum exactly to its total stall,
+//! or when the baseline rows diverge from `results/baseline_fast.json`.
 
 use std::fmt::Write as _;
 
@@ -20,9 +20,8 @@ use mirza_telemetry::{Json, StallBucket};
 
 use crate::lab::Lab;
 
-/// Fixed CSV header; `scripts/attribution_gate.py` fails CI on any
-/// drift. The six `*_ps` bucket columns follow [`StallBucket::ALL`]
-/// order.
+/// Fixed CSV header; root `tests/artifacts.rs` fails on any drift. The
+/// six `*_ps` bucket columns follow [`StallBucket::ALL`] order.
 pub const CSV_HEADER: &str = "label,workload,elapsed_ps,ipc_sum,slowdown_pct,requests,\
      total_stall_ps,queue_conflict_ps,bank_timing_ps,abo_alert_ps,mitigative_ref_ps,\
      refresh_ps,rfm_ps";

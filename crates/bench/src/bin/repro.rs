@@ -5,15 +5,14 @@
 //!       [--jobs N] [--resume] [--csv FILE] [--json FILE] [--epochs NS]
 //!       [--epoch-dir DIR] [--audit] [--strict-audit]
 //!       [--compare BASELINE.json] [--faults PLAN] [--watchdog SECS]
-//!       [--trace-chrome FILE] [--opportunity] [--out FILE]
-//!       [--repeats N] [--warmup N] [--list] [--quiet]
+//!       [--trace-chrome FILE] [--opportunity] [--out FILE] [--list]
+//!       [--quiet]
 //!
 //! experiments:
 //!   table1 table2 table3 table4 table5 table6 table7 table8 table9
 //!   table10 table11 table12 table13
 //!   fig3 fig6 fig9 fig11a fig11b fig13 fig14
-//!   security dos-sim attack-matrix attribution watchdog-demo
-//!   perfbench trajectory report
+//!   security dos-sim attack-matrix attribution watchdog-demo report
 //! ```
 //!
 //! `--fast` (default) runs the self-consistent 1/32-scaled setup; `--full`
@@ -48,15 +47,11 @@
 //! to `results/attribution.csv` (`--csv` overrides; `--json` adds a
 //! manifest-style summary).
 //!
-//! Performance observatory: `perfbench` times the end-to-end Table-4
-//! suite (`--warmup`/`--repeats` tune the sampling, `--out` overrides the
-//! default `results/BENCH_<gitrev>.json`) and appends a provenance-stamped
-//! trajectory point; `trajectory` prints the committed `BENCH_*.json`
-//! history with soft regression flags (twin of `scripts/perf_gate.py`);
-//! `report` assembles `results/report.html` (`--out` overrides) from the
-//! trajectory, attribution CSV, attack-matrix CSV, and epoch streams.
+//! Report: `report` assembles `results/report.html` (`--out` overrides)
+//! from the attribution CSV, attack-matrix CSV, and epoch streams.
 //! `--opportunity` arms the scheduler opportunity counters on manifest
-//! runs (idle scheduler passes and the skip-gap histogram).
+//! runs (idle scheduler passes and the skip-gap histogram). Simulator
+//! speed is measured by the benchmark in `benchsuite/`.
 //!
 //! Parallelism: `--jobs N` runs independent simulation/matrix cells on the
 //! supervised work-pool (default: `available_parallelism`; `--jobs 1`
@@ -84,10 +79,8 @@ use mirza_bench::compare::compare_manifests;
 use mirza_bench::experiments;
 use mirza_bench::extensions;
 use mirza_bench::lab::Lab;
-use mirza_bench::perfbench::{self, PerfBench};
 use mirza_bench::report;
 use mirza_bench::scale::Scale;
-use mirza_bench::trajectory;
 use mirza_sim::config::MitigationConfig;
 use mirza_sim::faults::{FaultPlan, CANNED_PLANS};
 use mirza_sim::runner::{run_stalled, run_tracefile};
@@ -104,12 +97,12 @@ const ANALYTIC_EXPERIMENTS: &[&str] = &[
     "table1", "table2", "table3", "table7", "fig9", "table10", "table11", "table12",
 ];
 const ATTACK_EXPERIMENTS: &[&str] = &["fig14", "security"];
-// Deliberately not part of `all`: keeps `--compare` manifests and the CI
-// bench gate bit-identical to the pre-framework baselines.
+// Deliberately not part of `all`: keeps `--compare` manifests
+// bit-identical to the pre-framework baselines.
 const MATRIX_EXPERIMENTS: &[&str] = &["attack-matrix", "attribution"];
-// Also standalone: the performance observatory reads/writes results/
-// artifacts rather than producing paper tables.
-const OBSERVATORY_EXPERIMENTS: &[&str] = &["perfbench", "trajectory", "report"];
+// Also standalone: the report reads results/ artifacts rather than
+// producing paper tables.
+const REPORT_EXPERIMENTS: &[&str] = &["report"];
 const EXTENSION_EXPERIMENTS: &[&str] = &[
     "ablation-mapping",
     "ablation-qth",
@@ -156,8 +149,8 @@ fn usage() -> ExitCode {
         "usage: repro <experiment|all|ablations|PATH.trace> [--smoke|--fast|--full] \
          [--seed N] [--csv FILE] [--json FILE] [--epochs NS] [--epoch-dir DIR] [--audit] \
          [--strict-audit] [--compare BASELINE.json] [--faults PLAN] [--watchdog SECS] \
-         [--trace-chrome FILE] [--opportunity] [--out FILE] [--repeats N] \
-         [--warmup N] [--jobs N] [--resume] [--list] [--quiet]\n\
+         [--trace-chrome FILE] [--opportunity] [--out FILE] [--jobs N] [--resume] \
+         [--list] [--quiet]\n\
          experiments: {} {} {} {} {} {} watchdog-demo\n\
          fault plans: {} (tunable as name:key=value,...)",
         ANALYTIC_EXPERIMENTS.join(" "),
@@ -165,7 +158,7 @@ fn usage() -> ExitCode {
         ATTACK_EXPERIMENTS.join(" "),
         MATRIX_EXPERIMENTS.join(" "),
         EXTENSION_EXPERIMENTS.join(" "),
-        OBSERVATORY_EXPERIMENTS.join(" "),
+        REPORT_EXPERIMENTS.join(" "),
         CANNED_PLANS.join(" "),
     );
     ExitCode::FAILURE
@@ -355,50 +348,6 @@ fn attribution_cmd(
     ExitCode::SUCCESS
 }
 
-/// Runs the perfbench suite and writes the trajectory point (default
-/// `results/BENCH_<gitrev>.json`, `--out` overrides).
-fn perfbench_cmd(
-    scale: Scale,
-    out: Option<std::path::PathBuf>,
-    warmup: Option<u64>,
-    repeats: Option<u64>,
-    jobs: usize,
-    verbose: bool,
-) -> ExitCode {
-    let mut bench = PerfBench::new(scale);
-    bench.verbose = verbose;
-    bench.jobs = jobs;
-    if let Some(w) = warmup {
-        bench.warmup = w;
-    }
-    if let Some(r) = repeats {
-        bench.repeats = r.max(1);
-    }
-    let doc = bench.run();
-    let path = out.unwrap_or_else(|| std::path::PathBuf::from("results").join(doc.file_name()));
-    print!("{}", perfbench::summary_table(&doc));
-    if let Err(e) = doc.write(&path) {
-        eprintln!("error: cannot write {}: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
-    if verbose {
-        eprintln!("wrote {}", path.display());
-    }
-    ExitCode::SUCCESS
-}
-
-/// Prints the perf trajectory over every committed `BENCH_*.json` plus
-/// soft regression flags. Always exits 0: the hard gate (with `--strict`)
-/// is `scripts/perf_gate.py` in CI.
-fn trajectory_cmd() -> ExitCode {
-    let docs = trajectory::load_dir(std::path::Path::new("results"));
-    print!("{}", trajectory::table(&docs));
-    for flag in trajectory::regressions(&docs, trajectory::NOISE_THRESHOLD_PCT) {
-        println!("{flag}");
-    }
-    ExitCode::SUCCESS
-}
-
 /// Assembles the unified HTML run report from `results/` (default output
 /// `results/report.html`, `--out` overrides).
 fn report_cmd(out: Option<std::path::PathBuf>, verbose: bool) -> ExitCode {
@@ -424,7 +373,7 @@ fn list_experiments() -> ExitCode {
         ("attack (run by `all`)", ATTACK_EXPERIMENTS),
         ("attack matrix (standalone)", MATRIX_EXPERIMENTS),
         ("extensions (run by `ablations`)", EXTENSION_EXPERIMENTS),
-        ("observatory (standalone)", OBSERVATORY_EXPERIMENTS),
+        ("report (standalone)", REPORT_EXPERIMENTS),
     ] {
         println!("{category}:");
         for name in names {
@@ -451,8 +400,6 @@ fn main() -> ExitCode {
     let mut trace_chrome: Option<std::path::PathBuf> = None;
     let mut opportunity = false;
     let mut out: Option<std::path::PathBuf> = None;
-    let mut repeats: Option<u64> = None;
-    let mut warmup: Option<u64> = None;
     let mut jobs: usize = mirza_runner::default_jobs();
     let mut resume = false;
     let mut it = args.iter();
@@ -461,14 +408,6 @@ fn main() -> ExitCode {
             "--opportunity" => opportunity = true,
             "--out" => match it.next() {
                 Some(p) => out = Some(std::path::PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--repeats" => match it.next().and_then(|s| s.parse::<u64>().ok()) {
-                Some(n) if n > 0 => repeats = Some(n),
-                _ => return usage(),
-            },
-            "--warmup" => match it.next().and_then(|s| s.parse::<u64>().ok()) {
-                Some(n) => warmup = Some(n),
                 None => return usage(),
             },
             "--jobs" => match it.next().and_then(|s| s.parse::<usize>().ok()) {
@@ -540,7 +479,7 @@ fn main() -> ExitCode {
     let standalone = replay
         || target == "watchdog-demo"
         || MATRIX_EXPERIMENTS.contains(&target.as_str())
-        || OBSERVATORY_EXPERIMENTS.contains(&target.as_str());
+        || REPORT_EXPERIMENTS.contains(&target.as_str());
     if standalone && (compare.is_some() || strict_audit) {
         // Both flags gate a run manifest; these targets write none, so the
         // gate would pass without checking anything.
@@ -558,12 +497,6 @@ fn main() -> ExitCode {
     }
     if target == "attribution" {
         return attribution_cmd(scale, csv, json, trace_chrome, jobs, verbose);
-    }
-    if target == "perfbench" {
-        return perfbench_cmd(scale, out, warmup, repeats, jobs, verbose);
-    }
-    if target == "trajectory" {
-        return trajectory_cmd();
     }
     if target == "report" {
         return report_cmd(out, verbose);

@@ -6,8 +6,7 @@
 //! pair the `config` and `report` sections must agree: integers exactly,
 //! floats to a relative tolerance that forgives only serialization noise.
 //! Host-side sections (`host_profile`) are wall-clock measurements and are
-//! deliberately ignored here — `scripts/bench_gate.py` checks those with a
-//! ratio tolerance instead.
+//! deliberately ignored: timing is the benchmark's job (`benchsuite/`).
 
 use mirza_telemetry::Json;
 

@@ -390,8 +390,8 @@ impl Lab {
         let mut doc = Json::obj();
         doc.push("scale", self.scale.to_json())
             .push("seed", self.scale.seed)
-            // Top-level only: both gates (compare.rs, bench_gate.py) key on
-            // scale/seed/runs, so provenance never trips a regression diff.
+            // Top-level only: the gate (compare.rs) keys on scale/seed/runs,
+            // so provenance never trips a regression diff.
             .push(
                 "provenance",
                 crate::provenance::to_json_with_jobs(self.jobs),

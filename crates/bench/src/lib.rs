@@ -14,16 +14,14 @@
 //!   queue capacity, region count, PARA comparison).
 //! * [`scale`] — the consistent 1/N scaling of the evaluation setup
 //!   (`--smoke`, `--fast`, `--full`).
-//! * [`compare`] — manifest regression diffing for `repro --compare` and
-//!   the CI bench gate.
-//! * [`perfbench`] — the wall-clock/throughput benchmark harness behind
-//!   `repro perfbench`, emitting schema'd `BENCH_<gitrev>.json` documents.
-//! * [`trajectory`] — loads committed `BENCH_*.json` documents and renders
-//!   the perf trajectory table plus soft regression flags.
+//! * [`compare`] — manifest regression diffing behind `repro --compare`,
+//!   the CI manifest gate.
+//! * [`perfbench`] — order statistics over timing samples, used by the
+//!   benchmark in `benchsuite/`.
 //! * [`report`] — assembles `results/report.html` from whatever artifacts
 //!   are present (`repro report`).
 //! * [`provenance`] — git revision, cargo profile, and host fingerprint
-//!   stamped into manifests and bench documents.
+//!   stamped into run manifests and the benchmark's results.
 
 pub mod analytic;
 pub mod attack_matrix;
@@ -37,4 +35,3 @@ pub mod perfbench;
 pub mod provenance;
 pub mod report;
 pub mod scale;
-pub mod trajectory;

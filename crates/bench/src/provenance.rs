@@ -1,6 +1,6 @@
-//! Build and host provenance stamped into run manifests and
-//! `BENCH_*.json`, so every trajectory point is attributable to a source
-//! revision, build profile, and machine class.
+//! Build and host provenance stamped into run manifests and the
+//! benchmark's results (`benchsuite/`), so every recorded number is
+//! attributable to a source revision, build profile, and machine class.
 //!
 //! The git revision and cargo profile are baked in at compile time by
 //! `build.rs`; the host fingerprint is sampled at run time from the
@@ -22,7 +22,7 @@ pub fn cargo_profile() -> &'static str {
 
 /// A coarse host fingerprint: OS, architecture, logical CPU count.
 /// Deliberately free of hostnames or usernames — enough to tell two
-/// machine classes apart in a perf trajectory, nothing identifying.
+/// machine classes apart, nothing identifying.
 pub fn host_fingerprint() -> Json {
     let cpus = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
     let mut h = Json::obj();
@@ -42,8 +42,7 @@ pub fn to_json() -> Json {
 }
 
 /// Provenance with the active `--jobs` value stamped into the host object
-/// next to `cpus` (manifests only; `BENCH_*.json` keeps the bare
-/// fingerprint so perf-gate same-host matching is insensitive to jobs).
+/// next to `cpus`, as run manifests record it.
 pub fn to_json_with_jobs(jobs: usize) -> Json {
     let mut host = host_fingerprint();
     host.push("jobs", jobs as u64);

@@ -1,20 +1,17 @@
 //! `repro report`: assembles the unified HTML run report from whatever
-//! artifacts are present in `results/` — the `BENCH_*.json` perf
-//! trajectory, slowdown-attribution buckets (`attribution.csv`), the
-//! attack-matrix success heatmap (`attack_matrix.csv`), and epoch JSONL
-//! sparklines. Missing inputs degrade to an explicit "no data" section,
-//! so the report is always well-formed.
+//! artifacts are present in `results/` — slowdown-attribution buckets
+//! (`attribution.csv`), the attack-matrix success heatmap
+//! (`attack_matrix.csv`), and epoch JSONL sparklines. Missing inputs
+//! degrade to an explicit "no data" section, so the report is always
+//! well-formed.
 //!
 //! Rendering primitives (page scaffold, SVG charts) live in
 //! `mirza_telemetry::report`; this module only loads and shapes data.
 
 use std::path::Path;
 
-use mirza_telemetry::report::{esc, heatmap, line_chart, sparkline, stacked_bars, Series};
+use mirza_telemetry::report::{esc, heatmap, sparkline, stacked_bars};
 use mirza_telemetry::{HtmlReport, Json};
-
-use crate::perfbench::BenchDoc;
-use crate::trajectory;
 
 /// The six stall-attribution buckets, in `attribution.csv` column order.
 const BUCKETS: [&str; 6] = [
@@ -44,71 +41,6 @@ fn parse_csv(text: &str) -> (Vec<String>, Vec<Vec<String>>) {
 fn col(header: &[String], row: &[String], name: &str) -> Option<String> {
     let i = header.iter().position(|h| h == name)?;
     row.get(i).cloned()
-}
-
-/// Perf-trajectory section: suite-median line chart over revisions plus a
-/// per-target table for the newest document.
-fn trajectory_section(docs: &[BenchDoc]) -> String {
-    if docs.is_empty() {
-        return "<p class=\"empty\">no BENCH_*.json documents in results/</p>".to_string();
-    }
-    let series = vec![Series {
-        name: "suite median (s)".to_string(),
-        points: docs
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (i as f64, d.suite_median_secs()))
-            .collect(),
-    }];
-    let labels: Vec<String> = docs.iter().map(|d| d.git_rev().to_string()).collect();
-    let mut html = line_chart(&series, "seconds", &labels);
-    let last = docs.last().expect("non-empty");
-    html.push_str(&format!(
-        "<h3>Per-target medians @ {}</h3>\n<table><tr><th>target</th>\
-         <th>median_s</th><th>stddev_s</th><th>instr/s</th></tr>\n",
-        esc(last.git_rev())
-    ));
-    for t in &last.targets {
-        let med = t.wall_secs.median.max(1e-12);
-        html.push_str(&format!(
-            "<tr><td>{}</td><td>{:.3}</td><td>{:.4}</td><td>{:.3e}</td></tr>\n",
-            esc(&t.name),
-            t.wall_secs.median,
-            t.wall_secs.stddev,
-            t.instructions as f64 / med
-        ));
-    }
-    html.push_str("</table>\n");
-    // Host-phase breakdown and opportunity rollup of the newest point.
-    if let Some(Json::Obj(pairs)) = last.phase_breakdown.get("phases") {
-        let rows: Vec<(String, Vec<f64>)> = vec![(
-            "host phases".to_string(),
-            pairs
-                .iter()
-                .map(|(_, v)| v.get("secs").and_then(Json::as_f64).unwrap_or(0.0))
-                .collect(),
-        )];
-        let legend: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
-        html.push_str("<h3>Host-phase breakdown (profiled pass)</h3>\n");
-        html.push_str(&stacked_bars(&rows, &legend));
-    }
-    if let Some(frac) = last
-        .opportunity
-        .get("idle_pass_frac")
-        .and_then(Json::as_f64)
-    {
-        let gap = last
-            .opportunity
-            .get("skip_gap_ns")
-            .and_then(|g| g.get("p50"))
-            .and_then(Json::as_f64);
-        html.push_str(&format!(
-            "<p>Scheduler residual: {:.1}% idle scheduler passes{}.</p>\n",
-            frac * 100.0,
-            gap.map_or_else(String::new, |g| format!(", median skip gap {g:.0} ns"))
-        ));
-    }
-    html
 }
 
 /// Attribution section: 100%-stacked stall buckets per mitigator/workload.
@@ -255,30 +187,10 @@ fn epochs_section(epoch_dirs: &[std::path::PathBuf]) -> String {
 /// Builds the full report HTML from the artifacts under `results_dir`.
 /// Epoch streams are searched in `results_dir/epochs` and `./epochs`.
 pub fn generate(results_dir: &Path) -> String {
-    let docs = trajectory::load_dir(results_dir);
     let read = |name: &str| std::fs::read_to_string(results_dir.join(name)).ok();
     let attribution = read("attribution.csv");
     let attack_matrix = read("attack_matrix.csv");
     let mut page = HtmlReport::new("MIRZA run report");
-    let sub = match docs.last() {
-        Some(d) => {
-            let host = d.provenance.get("host").cloned().unwrap_or(Json::Null);
-            format!(
-                "rev {} · {} · {}/{} · {} trajectory point(s)",
-                d.git_rev(),
-                d.provenance
-                    .get("cargo_profile")
-                    .and_then(Json::as_str)
-                    .unwrap_or("?"),
-                host.get("os").and_then(Json::as_str).unwrap_or("?"),
-                host.get("arch").and_then(Json::as_str).unwrap_or("?"),
-                docs.len()
-            )
-        }
-        None => "no perf trajectory recorded yet".to_string(),
-    };
-    page.subtitle(&sub);
-    page.section("Performance trajectory", &trajectory_section(&docs));
     page.section(
         "Slowdown attribution",
         &attribution_section(attribution.as_deref()),
@@ -315,8 +227,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let html = generate(&dir);
         assert!(html.starts_with("<!DOCTYPE html>"));
-        assert!(html.contains("Performance trajectory"));
-        assert!(html.contains("no BENCH_"));
+        assert!(html.contains("Slowdown attribution"));
         assert!(html.contains("no attribution.csv"));
         assert!(html.ends_with("</html>\n"));
         let _ = std::fs::remove_dir_all(&dir);

@@ -35,7 +35,7 @@ fn small_spec(seed: u64) -> MatrixSpec {
 }
 
 /// Flattens the deterministic manifest sections exactly as
-/// `scripts/bench_gate.py` gates them: every run's `config` and `report`
+/// `repro --compare` gates them: every run's `config` and `report`
 /// byte-for-byte. Wall-clock sections (`host_profile`) are legitimately
 /// nondeterministic and excluded, same as the gate.
 fn gated_sections(manifest: &Json) -> String {

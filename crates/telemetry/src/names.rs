@@ -4,8 +4,8 @@
 //! records is declared here as a `&'static str` constant, so call sites in
 //! dram/memctrl/core/sim/bench share one spelling and the unit tests below
 //! can reject duplicates and malformed names. Manifest consumers (epoch
-//! streams, `scripts/*.py`, EXPERIMENTS.md) key on these exact strings —
-//! renaming one is a manifest-schema change.
+//! streams, the benchmark in `benchsuite/`, EXPERIMENTS.md) key on these
+//! exact strings — renaming one is a manifest-schema change.
 //!
 //! Naming convention: `<component>.<metric>` in `[a-z0-9_.]`, where the
 //! component prefix is one of the registered set in

@@ -1,11 +1,11 @@
 //! Self-contained HTML report rendering: page scaffold plus inline-SVG
-//! chart builders (line chart, stacked bars, heatmap, sparkline).
+//! chart builders (stacked bars, heatmap, sparkline).
 //!
 //! Everything is hand-rolled strings — no template engine, no JS, no
 //! external CSS — so `results/report.html` opens anywhere, including from
-//! a CI artifact zip. The bench layer owns *what* to plot (perf
-//! trajectory, attribution buckets, attack matrix, epoch series); this
-//! module owns only *how* to draw it.
+//! a CI artifact zip. The bench layer owns *what* to plot (attribution
+//! buckets, attack matrix, epoch series); this module owns only *how* to
+//! draw it.
 
 /// Okabe–Ito colorblind-safe palette, cycled by series index.
 const PALETTE: &[&str] = &[
@@ -31,152 +31,6 @@ pub fn esc(s: &str) -> String {
 /// Color for series `i`, cycling the palette.
 pub fn color(i: usize) -> &'static str {
     PALETTE[i % PALETTE.len()]
-}
-
-/// Compact number formatting for axis labels: trims trailing zeros and
-/// switches to engineering suffixes for large magnitudes.
-pub fn fmt_num(v: f64) -> String {
-    let a = v.abs();
-    if a >= 1e9 {
-        format!("{:.2}G", v / 1e9)
-    } else if a >= 1e6 {
-        format!("{:.2}M", v / 1e6)
-    } else if a >= 1e4 {
-        format!("{:.1}k", v / 1e3)
-    } else if a >= 10.0 || v == v.trunc() {
-        format!("{v:.0}")
-    } else {
-        format!("{v:.3}")
-    }
-}
-
-/// One named series of a line chart.
-#[derive(Debug, Clone)]
-pub struct Series {
-    /// Legend label.
-    pub name: String,
-    /// `(x, y)` points in data coordinates, assumed x-sorted.
-    pub points: Vec<(f64, f64)>,
-}
-
-fn bounds(series: &[Series]) -> Option<(f64, f64, f64, f64)> {
-    let mut it = series.iter().flat_map(|s| s.points.iter().copied());
-    let first = it.next()?;
-    let mut b = (first.0, first.0, first.1, first.1);
-    for (x, y) in it {
-        b.0 = b.0.min(x);
-        b.1 = b.1.max(x);
-        b.2 = b.2.min(y);
-        b.3 = b.3.max(y);
-    }
-    Some(b)
-}
-
-/// A multi-series line chart with y gridlines, axis labels, and a legend.
-/// `x_labels`, when given, override numeric x-axis tick text (one per
-/// distinct integer x, e.g. git revisions along a trajectory).
-pub fn line_chart(series: &[Series], y_label: &str, x_labels: &[String]) -> String {
-    let (w, h, ml, mr, mt, mb) = (720.0, 260.0, 64.0, 12.0, 12.0, 42.0);
-    let Some((x0, x1, y0, y1)) = bounds(series) else {
-        return "<p class=\"empty\">no data</p>".to_string();
-    };
-    let (x0, x1) = if x0 == x1 {
-        (x0 - 0.5, x1 + 0.5)
-    } else {
-        (x0, x1)
-    };
-    // Always include zero in the y range so trends aren't exaggerated.
-    let (y0, y1) = (y0.min(0.0), if y1 == y0 { y0 + 1.0 } else { y1 });
-    let (pw, ph) = (w - ml - mr, h - mt - mb);
-    let sx = |x: f64| ml + (x - x0) / (x1 - x0) * pw;
-    let sy = |y: f64| mt + (1.0 - (y - y0) / (y1 - y0)) * ph;
-    let mut svg = format!(
-        "<svg viewBox=\"0 0 {w} {h}\" width=\"{w}\" height=\"{h}\" \
-         font-family=\"sans-serif\" font-size=\"11\" role=\"img\">\n"
-    );
-    // Horizontal gridlines with y tick labels.
-    for i in 0..=4 {
-        let y = y0 + (y1 - y0) * f64::from(i) / 4.0;
-        let yy = sy(y);
-        svg.push_str(&format!(
-            "<line x1=\"{ml}\" y1=\"{yy:.1}\" x2=\"{:.1}\" y2=\"{yy:.1}\" \
-             stroke=\"#ddd\"/><text x=\"{:.1}\" y=\"{:.1}\" \
-             text-anchor=\"end\" fill=\"#555\">{}</text>\n",
-            w - mr,
-            ml - 6.0,
-            yy + 4.0,
-            esc(&fmt_num(y))
-        ));
-    }
-    // X tick labels: explicit strings at integer x, else numeric min/max.
-    if x_labels.is_empty() {
-        for (x, anchor) in [(x0, "start"), (x1, "end")] {
-            svg.push_str(&format!(
-                "<text x=\"{:.1}\" y=\"{:.1}\" text-anchor=\"{anchor}\" \
-                 fill=\"#555\">{}</text>\n",
-                sx(x),
-                h - mb + 16.0,
-                esc(&fmt_num(x))
-            ));
-        }
-    } else {
-        for (i, label) in x_labels.iter().enumerate() {
-            let x = i as f64;
-            if x < x0 || x > x1 {
-                continue;
-            }
-            svg.push_str(&format!(
-                "<text x=\"{:.1}\" y=\"{:.1}\" text-anchor=\"middle\" \
-                 fill=\"#555\">{}</text>\n",
-                sx(x),
-                h - mb + 16.0,
-                esc(label)
-            ));
-        }
-    }
-    // Y axis label.
-    svg.push_str(&format!(
-        "<text x=\"14\" y=\"{:.1}\" transform=\"rotate(-90 14 {:.1})\" \
-         text-anchor=\"middle\" fill=\"#333\">{}</text>\n",
-        mt + ph / 2.0,
-        mt + ph / 2.0,
-        esc(y_label)
-    ));
-    for (i, s) in series.iter().enumerate() {
-        let c = color(i);
-        let pts: Vec<String> = s
-            .points
-            .iter()
-            .map(|&(x, y)| format!("{:.1},{:.1}", sx(x), sy(y)))
-            .collect();
-        svg.push_str(&format!(
-            "<polyline points=\"{}\" fill=\"none\" stroke=\"{c}\" stroke-width=\"1.8\"/>\n",
-            pts.join(" ")
-        ));
-        for &(x, y) in &s.points {
-            svg.push_str(&format!(
-                "<circle cx=\"{:.1}\" cy=\"{:.1}\" r=\"2.6\" fill=\"{c}\">\
-                 <title>{}: ({}, {})</title></circle>\n",
-                sx(x),
-                sy(y),
-                esc(&s.name),
-                esc(&fmt_num(x)),
-                esc(&fmt_num(y))
-            ));
-        }
-        // Legend swatch row in the top-right corner.
-        let ly = mt + 14.0 * i as f64 + 4.0;
-        svg.push_str(&format!(
-            "<rect x=\"{:.1}\" y=\"{ly:.1}\" width=\"10\" height=\"10\" fill=\"{c}\"/>\
-             <text x=\"{:.1}\" y=\"{:.1}\" fill=\"#333\">{}</text>\n",
-            w - mr - 150.0,
-            w - mr - 136.0,
-            ly + 9.0,
-            esc(&s.name)
-        ));
-    }
-    svg.push_str("</svg>");
-    svg
 }
 
 /// Horizontal 100%-stacked bars, one row per `(label, values)` entry, with
@@ -345,7 +199,6 @@ pub fn sparkline(values: &[f64]) -> String {
 #[derive(Debug, Default)]
 pub struct HtmlReport {
     title: String,
-    subtitle: String,
     sections: Vec<(String, String)>,
 }
 
@@ -356,13 +209,6 @@ impl HtmlReport {
             title: title.to_string(),
             ..Self::default()
         }
-    }
-
-    /// Sets the dimmed provenance line under the page title (already-built
-    /// HTML is not accepted; the text is escaped).
-    pub fn subtitle(&mut self, text: &str) -> &mut Self {
-        self.subtitle = esc(text);
-        self
     }
 
     /// Appends a section; `body_html` is trusted markup from this module's
@@ -386,16 +232,14 @@ impl HtmlReport {
              body{{font-family:sans-serif;margin:24px auto;max-width:860px;color:#222}}\n\
              h1{{font-size:22px;margin-bottom:2px}}\n\
              h2{{font-size:16px;border-bottom:1px solid #ddd;padding-bottom:4px}}\n\
-             .sub{{color:#777;font-size:12px;margin-top:0}}\n\
              .empty{{color:#999;font-style:italic}}\n\
              table{{border-collapse:collapse;font-size:12px}}\n\
              td,th{{border:1px solid #ddd;padding:3px 8px;text-align:right}}\n\
              th{{background:#f5f5f5}}\n\
              td:first-child,th:first-child{{text-align:left}}\n\
              section{{margin-bottom:28px}}\n</style>\n</head>\n<body>\n\
-             <h1>{title}</h1>\n<p class=\"sub\">{sub}</p>\n{body}</body>\n</html>\n",
+             <h1>{title}</h1>\n{body}</body>\n</html>\n",
             title = esc(&self.title),
-            sub = self.subtitle,
         )
     }
 }
@@ -407,24 +251,6 @@ mod tests {
     #[test]
     fn escaping_covers_html_metacharacters() {
         assert_eq!(esc("a<b>&\"'"), "a&lt;b&gt;&amp;&quot;&#39;");
-    }
-
-    #[test]
-    fn line_chart_renders_points_and_legend() {
-        let s = vec![Series {
-            name: "suite".to_string(),
-            points: vec![(0.0, 1.0), (1.0, 2.0), (2.0, 1.5)],
-        }];
-        let svg = line_chart(
-            &s,
-            "secs",
-            &["a".to_string(), "b".to_string(), "c".to_string()],
-        );
-        assert!(svg.starts_with("<svg"));
-        assert!(svg.contains("polyline"));
-        assert!(svg.contains("suite"));
-        assert!(svg.ends_with("</svg>"));
-        assert!(line_chart(&[], "secs", &[]).contains("no data"));
     }
 
     #[test]
@@ -458,12 +284,11 @@ mod tests {
     #[test]
     fn page_scaffold_is_standalone_html() {
         let mut r = HtmlReport::new("MIRZA run report");
-        r.subtitle("rev abc123 · linux/x86_64");
-        r.section("Perf trajectory", "<p>chart</p>");
+        r.section("Attack matrix", "<p>chart</p>");
         let html = r.finish();
         assert!(html.starts_with("<!DOCTYPE html>"));
-        assert!(html.contains("<h2>Perf trajectory</h2>"));
-        assert!(html.contains("rev abc123"));
+        assert!(html.contains("<h2>Attack matrix</h2>"));
+        assert!(html.contains("<p>chart</p>"));
         assert!(html.ends_with("</html>\n"));
         // Titles are escaped.
         let mut r = HtmlReport::new("a<b");

@@ -22,7 +22,8 @@
 //! Conservation is structural: every picosecond of each request's stall
 //! lands in exactly one bucket, so per-bank and global bucket sums equal
 //! the respective total stall — checked by a debug assert per request and
-//! re-checked downstream by `scripts/attribution_gate.py`.
+//! re-checked downstream on the committed `results/attribution.csv` by
+//! the root `tests/artifacts.rs`.
 
 use crate::chrome::ChromeTraceSink;
 use crate::json::Json;

@@ -314,13 +314,16 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Re-borrow as str to handle multi-byte UTF-8.
-                    self.pos -= 1;
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // The run of unescaped characters up to the next quote or
+                    // backslash, validated once: neither byte can occur inside
+                    // a multi-byte UTF-8 sequence.
+                    let start = self.pos - 1;
+                    while !matches!(self.peek(), Some(b'"' | b'\\') | None) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    s.push_str(run);
                 }
             }
         }
@@ -492,6 +495,22 @@ mod tests {
     fn parser_handles_unicode_and_escapes() {
         let parsed = Json::parse(r#"{"s": "héllo A\n"}"#).unwrap();
         assert_eq!(parsed.get("s").unwrap().as_str(), Some("héllo A\n"));
+    }
+
+    #[test]
+    fn parser_keeps_a_multi_byte_character_at_a_string_end() {
+        let parsed = Json::parse(r#"["naïve ü", "x😀", "é"]"#).unwrap();
+        let items: Vec<_> = parsed.as_arr().unwrap().iter().map(Json::as_str).collect();
+        assert_eq!(items, [Some("naïve ü"), Some("x😀"), Some("é")]);
+    }
+
+    #[test]
+    fn parser_rejects_invalid_utf8_inside_a_string() {
+        // `Json::parse` takes `&str`, so feed the byte parser directly.
+        for bytes in [&b"\"a\xffb\""[..], b"\"\xc3\"", b"\"ok\\n\xe2\x82\""] {
+            let mut p = Parser { bytes, pos: 0 };
+            assert_eq!(p.string(), Err("invalid utf-8".to_string()), "{bytes:?}");
+        }
     }
 
     #[test]

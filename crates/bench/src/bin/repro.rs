@@ -27,7 +27,9 @@
 //! nonzero if the deterministic manifest sections diverge from the
 //! baseline. Both gate flags are usage errors (exit 1) on targets that
 //! write no manifest: `attack-matrix`, `attribution`, `report`,
-//! `watchdog-demo` and trace replay.
+//! `watchdog-demo` and trace replay. `dos-sim` runs outside the lab, so
+//! `--json`, `--compare`, `--audit`, `--strict-audit`, `--faults`,
+//! `--trace-chrome`, `--epochs` and `--epoch-dir` are usage errors there.
 //!
 //! Robustness flags: `--faults PLAN` injects a canned fault plan
 //! (`rct-seu`, `abo-drop`, `queue-loss`, `refresh-skip`, `trace-corrupt`,
@@ -485,6 +487,25 @@ fn main() -> ExitCode {
         // gate would pass without checking anything.
         eprintln!("error: --compare and --strict-audit need a manifest; `{target}` writes none");
         return ExitCode::FAILURE;
+    }
+    if target == "dos-sim" {
+        // dos-sim runs its simulations outside `Lab`, so no run reaches the
+        // manifest, the auditor, the fault injector, the span layer or the
+        // epoch sampler: each of these flags would be silently ignored.
+        let lab_only = [
+            ("--json", json.is_some()),
+            ("--compare", compare.is_some()),
+            ("--strict-audit", strict_audit),
+            ("--audit", audit),
+            ("--faults", fault_plan.is_some()),
+            ("--trace-chrome", trace_chrome.is_some()),
+            ("--epochs", epochs_ns.is_some()),
+            ("--epoch-dir", epoch_dir.is_some()),
+        ];
+        if let Some((flag, _)) = lab_only.iter().find(|(_, set)| *set) {
+            eprintln!("error: `dos-sim` runs outside the lab and cannot honour {flag}");
+            return ExitCode::FAILURE;
+        }
     }
     if replay {
         return replay_trace(std::path::Path::new(&target), scale, watchdog);

@@ -16,8 +16,8 @@
 //!   (`--smoke`, `--fast`, `--full`).
 //! * [`compare`] — manifest regression diffing behind `repro --compare`,
 //!   the CI manifest gate.
-//! * [`perfbench`] — order statistics over timing samples, used by the
-//!   benchmark in `benchsuite/`.
+//! * [`perfbench`] — the median of timing samples, used by the benchmark
+//!   in `benchsuite/`.
 //! * [`report`] — assembles `results/report.html` from whatever artifacts
 //!   are present (`repro report`).
 //! * [`provenance`] — git revision, cargo profile, and host fingerprint

@@ -180,11 +180,6 @@ impl RowCensus {
         self.max_counts[self.idx(bank, self.mapping.phys_of(row))]
     }
 
-    /// Running maximum count of *physical* row `phys` in `bank`.
-    pub fn row_max_phys(&self, bank: usize, phys: u32) -> u32 {
-        self.max_counts[self.idx(bank, phys)]
-    }
-
     /// Maximum count ever observed on any row.
     pub fn max_seen(&self) -> u32 {
         self.max_seen

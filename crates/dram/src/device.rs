@@ -20,7 +20,7 @@ use crate::refresh::RefreshPointer;
 use crate::stats::DeviceStats;
 use crate::time::Ps;
 use crate::timing::TimingParams;
-use mirza_telemetry::{names, Json, Phase, Telemetry};
+use mirza_telemetry::{names, Json, Telemetry};
 
 use crate::bank::BankState;
 
@@ -74,9 +74,6 @@ pub struct Subchannel {
     subch_index: u32,
     /// Cached `telemetry.has_spans()` so precharges test one local bool.
     spans: bool,
-    /// Rolling ACT counter for sampled tracker attribution (see the ACT
-    /// arm of [`Subchannel::issue`]).
-    tracker_tick: u32,
     /// Number of banks with an open row, maintained incrementally so
     /// `all_precharged`/`open_banks` are O(1) instead of a bank scan.
     open_count: usize,
@@ -129,7 +126,6 @@ impl Subchannel {
             rowpress_weighting: false,
             subch_index: 0,
             spans: false,
-            tracker_tick: 0,
             open_count: 0,
             telemetry: Telemetry::disabled(),
             audit: None,
@@ -483,21 +479,7 @@ impl Subchannel {
                 let phys = self.metrics_mapping.phys_of(row);
                 let sa = (phys / self.metrics_mapping.rows_per_subarray()) as usize;
                 self.act_hist[flat * self.geom.subarrays_per_bank as usize + sa] += 1;
-                // ACT is the highest-frequency mitigator hook: timing every
-                // call costs two vDSO clock reads apiece, visible in whole-
-                // run profiles. Sample 1-in-16 and scale the measurement
-                // back up — the Tracker phase total stays statistically
-                // right at a sixteenth of the cost.
-                const TRACKER_SAMPLE: u32 = 16;
-                self.tracker_tick = self.tracker_tick.wrapping_add(1);
-                let p = if self.tracker_tick.is_multiple_of(TRACKER_SAMPLE) {
-                    self.telemetry.profile_start()
-                } else {
-                    None
-                };
                 self.mitigator.on_activate(flat, row, now);
-                self.telemetry
-                    .profile_end_scaled(Phase::Tracker, p, TRACKER_SAMPLE);
                 Issued {
                     data_ready: None,
                     busy_until: None,
@@ -600,9 +582,7 @@ impl Subchannel {
                         &[("ref_index", Json::U64(slice.index))],
                     );
                 }
-                let p = self.telemetry.profile_start();
                 self.mitigator.on_ref(&slice, now);
-                self.telemetry.profile_end(Phase::Tracker, p);
                 Issued {
                     data_ready: None,
                     busy_until: Some(until),
@@ -621,9 +601,7 @@ impl Subchannel {
                 } else {
                     self.stats.rfms_proactive += 1;
                 }
-                let p = self.telemetry.profile_start();
                 self.mitigator.on_rfm(alert, now);
-                self.telemetry.profile_end(Phase::Tracker, p);
                 Issued {
                     data_ready: None,
                     busy_until: Some(until),

@@ -198,9 +198,6 @@ pub struct MemController {
     /// Cached `telemetry.has_spans()` so the hot path tests one local bool
     /// instead of borrowing the recorder.
     spans: bool,
-    /// Cached `telemetry.has_opportunity()`: arms the per-pass work
-    /// counters and skip-gap histogram in `run_until`.
-    opp: bool,
     /// Length of the current streak of row-buffer hits (for the
     /// `mc.row_hit_run` histogram; flushed when a miss/conflict breaks it).
     hit_run: u64,
@@ -244,7 +241,6 @@ impl MemController {
             stats: McStats::default(),
             telemetry: Telemetry::disabled(),
             spans: false,
-            opp: false,
             hit_run: 0,
             device,
         };
@@ -277,7 +273,6 @@ impl MemController {
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.device.set_telemetry(telemetry.clone());
         self.spans = telemetry.has_spans();
-        self.opp = telemetry.has_opportunity();
         self.telemetry = telemetry;
     }
 
@@ -612,12 +607,8 @@ impl MemController {
     ///
     /// The next command is served from the cross-call cache
     /// ([`MemController::peek_next`]), so a pass with nothing to issue costs
-    /// one comparison. With opportunity counters armed, each call is one
-    /// "scheduler pass": commands issued and the gap to the next pending
-    /// command past the window are recorded.
+    /// one comparison.
     pub fn run_until(&mut self, t_end: Ps, out: &mut Vec<Completion>) {
-        let opp = self.opp;
-        let mut pass_cmds: u64 = 0;
         let (mut batch_reads, mut batch_writes) = (0u64, 0u64);
         let (mut batch_acts, mut batch_refs) = (0u64, 0u64);
         loop {
@@ -625,14 +616,9 @@ impl MemController {
             if at > t_end {
                 // Nothing issuable in the window: keep the cache for the
                 // next pass.
-                if opp {
-                    self.telemetry
-                        .observe(names::MC_OPP_SKIP_GAP_NS, (at - t_end).as_ps() / 1000);
-                }
                 break;
             }
             self.cached_next = None;
-            pass_cmds += 1;
             self.now = at;
             self.telemetry
                 .trace_line(|| trace_line(self.subch, &cmd, at));
@@ -831,16 +817,6 @@ impl MemController {
         }
         if batch_refs > 0 {
             self.telemetry.inc(names::MC_REFS, batch_refs);
-        }
-        if opp {
-            self.telemetry.inc(names::MC_OPP_SCHED_PASSES, 1);
-            if pass_cmds == 0 {
-                // The window held no command; the cached next command made
-                // that one comparison, not a bank scan.
-                self.telemetry.inc(names::MC_OPP_IDLE_PASSES, 1);
-            }
-            self.telemetry
-                .observe(names::MC_OPP_CMDS_PER_PASS, pass_cmds);
         }
     }
 }

@@ -14,18 +14,12 @@ use mirza_frontend::trace::AccessStream;
 use mirza_memctrl::controller::MemController;
 use mirza_memctrl::mapping::AddressMapper;
 use mirza_memctrl::request::{AccessKind, Completion, McStats, Request};
-use mirza_telemetry::{names, Heartbeat, Phase, Telemetry};
+use mirza_telemetry::{names, Heartbeat, Telemetry};
 
 use crate::config::SimConfig;
 use crate::faults::FaultInjector;
 use crate::report::SimReport;
 use crate::SimError;
-
-/// Sampling period for the per-pass profiler phase spans: only 1-in-N
-/// scheduler passes are timed (durations scaled back up by N), keeping the
-/// clock reads themselves off the profile. Attribution stays statistically
-/// right because pass costs are narrowly distributed.
-const PASS_SAMPLE: u32 = 16;
 
 /// Per-core launch description.
 pub struct CoreSetup {
@@ -237,11 +231,9 @@ impl System {
         let mut cores = std::mem::take(&mut self.cores);
         let mut idle_quanta = 0u64;
         let mut heartbeat = self.cfg.heartbeat_every.map(Heartbeat::new);
-        // One handle clone up front so profiled closures over `self` don't
-        // fight the borrow checker (same for the fault injector).
-        let tel = self.telemetry.clone();
+        // A clone, so ticking it can borrow the controllers mutably.
         let faults = self.faults.clone();
-        let sample_epochs = tel.has_epochs();
+        let sample_epochs = self.telemetry.has_epochs();
         // The wall clock is only consulted when a budget is configured, so
         // unbudgeted runs stay bit-for-bit reproducible *and* syscall-free.
         let wall = self
@@ -249,7 +241,6 @@ impl System {
             .watchdog_wall
             .map(|limit| (std::time::Instant::now(), limit));
         let mut stalled: Option<String> = None;
-        let mut pass_tick: u32 = 0;
         while !cores
             .iter()
             .zip(&self.required)
@@ -262,15 +253,6 @@ impl System {
             loop {
                 self.issued_this_pass = false;
                 let mut delivered = false;
-                // Sampled phase spans: time 1-in-PASS_SAMPLE passes and
-                // scale up, so the per-pass clock reads stay off the
-                // profile (see `profile_next_scaled`).
-                pass_tick = pass_tick.wrapping_add(1);
-                let p = if pass_tick.is_multiple_of(PASS_SAMPLE) {
-                    tel.profile_start()
-                } else {
-                    None
-                };
                 for core in cores.iter_mut() {
                     if core.finished() {
                         continue;
@@ -278,18 +260,15 @@ impl System {
                     let id = core.id() as usize;
                     core.run(t_end, |v, s, now| self.memory_access(id, v, s, now));
                 }
-                let p = tel.profile_next_scaled(Phase::Frontend, p, PASS_SAMPLE);
                 for mc in &mut self.mcs {
                     mc.run_until(t_end, &mut completions);
                 }
-                let p = tel.profile_next_scaled(Phase::Device, p, PASS_SAMPLE);
                 for c in completions.drain(..) {
                     if let Some(owner) = self.token_owner.remove(&c.id) {
                         cores[owner].complete(c.id, c.done_at);
                         delivered = true;
                     }
                 }
-                tel.profile_end_scaled(Phase::Scheduler, p, PASS_SAMPLE);
                 if !(self.issued_this_pass || delivered) {
                     break;
                 }
@@ -313,7 +292,6 @@ impl System {
                     break;
                 }
             }
-            let p = tel.profile_start();
             if let Some(hb) = heartbeat.as_mut() {
                 let retired = cores.iter().map(Core::instructions).sum();
                 if let Some(line) = hb.tick(retired, t_end.as_ps()) {
@@ -324,9 +302,8 @@ impl System {
             }
             if sample_epochs {
                 self.update_epoch_inputs(&cores);
-                tel.epoch_tick(t_end.as_ps());
+                self.telemetry.epoch_tick(t_end.as_ps());
             }
-            tel.profile_end(Phase::Io, p);
             t_end += quantum;
         }
         self.cores = cores;
@@ -343,7 +320,7 @@ impl System {
             } else {
                 t_end - quantum
             };
-            tel.epoch_finish(boundary.as_ps());
+            self.telemetry.epoch_finish(boundary.as_ps());
         }
         if let Some(reason) = stalled {
             return Err(SimError::Watchdog {
@@ -360,14 +337,12 @@ impl System {
                 .map(|a| u64::from(a.max_row_acts()))
                 .max()
                 .unwrap_or(0);
-            tel.set_counter(names::AUDIT_MAX_ROW_ACTS, max);
+            self.telemetry.set_counter(names::AUDIT_MAX_ROW_ACTS, max);
         }
-        let p = tel.profile_start();
         let report = self.build_report();
-        tel.profile_end(Phase::Report, p);
         // Terminate the span layer's Chrome trace after the report snapshot
         // (the attribution summary is already embedded in it).
-        tel.spans_finish();
+        self.telemetry.spans_finish();
         Ok(report)
     }
 

@@ -36,23 +36,6 @@ pub const MC_RFMS: &str = "mc.rfms";
 /// Gauge: outstanding requests across all bank queues (epoch input).
 pub const MC_QUEUE_DEPTH: &str = "mc.queue_depth";
 
-// --- Hot-path opportunity counters (memctrl::controller) ---
-//
-// Armed with `Telemetry::with_opportunity`; they size the scheduler work
-// that issues nothing. A "pass" is one `run_until` call — the system's
-// inner progress loop makes at least one per quantum per controller.
-
-/// Counter: scheduler passes (`run_until` calls) executed.
-pub const MC_OPP_SCHED_PASSES: &str = "mc.opp_sched_passes";
-/// Counter: scheduler passes that issued zero commands — quanta whose
-/// window held no command.
-pub const MC_OPP_IDLE_PASSES: &str = "mc.opp_idle_passes";
-/// Histogram: commands issued per scheduler pass.
-pub const MC_OPP_CMDS_PER_PASS: &str = "mc.opp_cmds_per_pass";
-/// Histogram: gap from the window end to the next pending command's legal
-/// instant, in nanoseconds.
-pub const MC_OPP_SKIP_GAP_NS: &str = "mc.opp_skip_gap_ns";
-
 // --- Device metrics (dram::device, sim::system) ---
 
 /// Gauge: banks with an open row (epoch input).
@@ -204,10 +187,6 @@ pub const ALL_METRICS: &[&str] = &[
     MC_ALERTS,
     MC_RFMS,
     MC_QUEUE_DEPTH,
-    MC_OPP_SCHED_PASSES,
-    MC_OPP_IDLE_PASSES,
-    MC_OPP_CMDS_PER_PASS,
-    MC_OPP_SKIP_GAP_NS,
     DRAM_OPEN_BANKS,
     DRAM_ACTS_PER_SUBARRAY,
     SIM_INSTRUCTIONS,

@@ -308,11 +308,10 @@ impl SpanCollector {
         self.banks.iter().map(|(k, v)| (*k, *v)).collect()
     }
 
-    /// Flushes the Chrome sink's buffered bytes (error paths).
-    pub fn flush(&mut self) {
-        if let Some(chrome) = &mut self.chrome {
-            chrome.flush();
-        }
+    /// Flushes the Chrome sink's buffered bytes; returns its first write
+    /// error since the last flush.
+    pub fn flush(&mut self) -> std::io::Result<()> {
+        self.chrome.as_mut().map_or(Ok(()), ChromeTraceSink::flush)
     }
 
     /// Terminates the Chrome trace array (success path).

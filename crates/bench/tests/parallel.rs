@@ -13,7 +13,7 @@ use mirza_bench::attack_matrix::{
 use mirza_bench::experiments;
 use mirza_bench::lab::Lab;
 use mirza_bench::scale::Scale;
-use mirza_telemetry::{Json, Telemetry};
+use mirza_telemetry::Telemetry;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mirza-parallel-{}-{tag}", std::process::id()));
@@ -34,32 +34,11 @@ fn small_spec(seed: u64) -> MatrixSpec {
     spec
 }
 
-/// Flattens the deterministic manifest sections exactly as
-/// `repro --compare` gates them: every run's `config` and `report`
-/// byte-for-byte. Wall-clock sections (`host_profile`) are legitimately
-/// nondeterministic and excluded, same as the gate.
-fn gated_sections(manifest: &Json) -> String {
-    let mut out = String::new();
-    for exp in manifest.get("experiments").unwrap().as_arr().unwrap() {
-        let name = exp.get("name").unwrap().as_str().unwrap();
-        for run in exp.get("runs").unwrap().as_arr().unwrap() {
-            out.push_str(name);
-            out.push('/');
-            out.push_str(run.get("label").unwrap().as_str().unwrap());
-            out.push('/');
-            out.push_str(run.get("workload").unwrap().as_str().unwrap());
-            out.push('\n');
-            out.push_str(&run.get("config").unwrap().to_string_pretty());
-            out.push_str(&run.get("report").unwrap().to_string_pretty());
-            out.push('\n');
-        }
-    }
-    out
-}
-
 /// The tentpole contract on the experiment path: a prewarmed (parallel)
-/// table4 produces the byte-identical CSV, rendered table, and gated
-/// manifest sections the serial path does.
+/// table4 produces the byte-identical CSV, rendered table, and manifest
+/// run records the serial path does. Every run section is deterministic,
+/// so the whole `experiments` array is compared; epochs and the auditor
+/// are armed so their sections take part.
 #[test]
 fn table4_smoke_is_bit_identical_across_job_counts() {
     let dir = temp_dir("table4");
@@ -70,12 +49,18 @@ fn table4_smoke_is_bit_identical_across_job_counts() {
         lab.jobs = jobs;
         lab.verbose = false;
         lab.csv_path = Some(csv_path.clone());
+        lab.epoch_ps = Some(1_000_000);
+        lab.epoch_dir = dir.join(format!("epochs_j{jobs}"));
+        lab.audit = true;
         lab.enable_manifest();
         lab.begin_experiment("table4");
         lab.prewarm(&experiments::planned_runs("table4", &lab));
         let table = experiments::table4(&mut lab);
         let manifest = lab.manifest_json().expect("manifest mode is on");
-        let experiments_section = gated_sections(&manifest);
+        let experiments_section = manifest
+            .get("experiments")
+            .expect("manifest lists its experiments")
+            .to_string_pretty();
         let csv = std::fs::read_to_string(&csv_path).expect("csv written");
         artifacts.push((jobs, table, experiments_section, csv));
     }

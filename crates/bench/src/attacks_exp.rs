@@ -21,7 +21,7 @@ use mirza_trackers::prac::PracMoat;
 use mirza_trackers::trr::Trr;
 use mirza_workloads::attacks::RowPattern;
 
-use crate::lab::Lab;
+use crate::scale::Scale;
 
 /// Appendix-B scenario against *eager* reset: FTH-1 ACTs on the region's
 /// last row just before the region's first REF, plus FTH-1 during its
@@ -216,8 +216,9 @@ pub fn security_sweep(windows: u64) -> String {
 
 /// Simulated DoS cross-check of Table XI: one attacker core replays the
 /// Figure-12 same-region kernel against MIRZA; benign slowdown is compared
-/// with the analytic model.
-pub fn dos_sim(lab: &mut Lab) -> String {
+/// with the analytic model. Its runs go through `run_with_attacker` and
+/// `run_workload` directly, outside `Lab`.
+pub fn dos_sim(scale: &Scale) -> String {
     let mut out = String::from(
         "Simulated performance attack (Figure 12 kernel, benign = lbm x7)\n\
          MINT-W   measured slowdown   analytic bound\n",
@@ -226,10 +227,10 @@ pub fn dos_sim(lab: &mut Lab) -> String {
     for w in [8u32, 12, 16] {
         let base_cfg = MirzaConfig::sensitivity_1000(w);
         let mitigation = mirza_sim::config::MitigationConfig::Mirza {
-            cfg: lab.scale().mirza_config(base_cfg),
+            cfg: scale.mirza_config(base_cfg),
             policy: ResetPolicy::Safe,
         };
-        let cfg = lab.scale().sim_config(mitigation);
+        let cfg = scale.sim_config(mitigation);
         let geom = cfg.geometry;
         let mapping = mirza_dram::address::RowMapping::new(
             base_cfg.mapping,
@@ -253,7 +254,6 @@ pub fn dos_sim(lab: &mut Lab) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scale::Scale;
 
     #[test]
     fn fig14_flags_eager_and_lazy_as_unsafe() {
@@ -268,8 +268,7 @@ mod tests {
 
     #[test]
     fn dos_sim_renders() {
-        let mut lab = Lab::new(Scale::smoke());
-        let t = dos_sim(&mut lab);
+        let t = dos_sim(&Scale::smoke());
         assert!(t.contains("MINT-W"));
         assert_eq!(t.lines().count(), 5);
     }

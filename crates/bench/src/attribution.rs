@@ -160,31 +160,15 @@ impl AttributionResult {
     }
 }
 
-/// The cells [`run_attribution`] will request, for [`Lab::prewarm`]:
-/// the full roster (baseline included) over the in-scope workloads.
-pub fn planned_runs(lab: &Lab) -> Vec<(MitigationConfig, &'static str)> {
-    let in_scope: Vec<&'static str> = WORKLOADS
-        .iter()
-        .copied()
-        .filter(|w| lab.workloads().contains(w))
-        .collect();
-    roster(lab)
-        .into_iter()
-        .flat_map(|m| in_scope.iter().map(move |&w| (m, w)))
-        .collect()
-}
-
 /// Runs the sweep. The caller must arm `lab.attribution` (the `repro
 /// attribution` command does) so every report carries an attribution
-/// summary. At `lab.jobs > 1` the cells are prewarmed on the work pool
-/// first; the reduction below stays serial and roster-major either way.
+/// summary. Run it through [`Lab::sweep`] to put its cells on the work
+/// pool; the reduction below stays serial and roster-major either way.
 pub fn run_attribution(lab: &mut Lab) -> AttributionResult {
     assert!(
         lab.attribution || lab.trace_chrome.is_some(),
         "attribution sweep needs lab.attribution (or a chrome trace) armed"
     );
-    let planned = planned_runs(lab);
-    lab.prewarm(&planned);
     let in_scope: Vec<&'static str> = WORKLOADS
         .iter()
         .copied()

@@ -339,92 +339,6 @@ pub fn table13(lab: &mut Lab) -> String {
     out
 }
 
-/// The (mitigation, workload) cells `name`'s driver will request, for
-/// [`Lab::prewarm`]. The drivers stay the single source of truth for
-/// output — this list only front-loads their simulations onto the work
-/// pool, so an imprecise entry costs compute, never correctness: extra
-/// pairs are parked and ignored, missing pairs simply run serially.
-pub fn planned_runs(name: &str, lab: &Lab) -> Vec<(MitigationConfig, &'static str)> {
-    let ws = lab.workloads();
-    let baseline = MitigationConfig::None;
-    let mut mitigations: Vec<MitigationConfig> = Vec::new();
-    let mut workloads = ws.clone();
-    match name {
-        "table4" | "fig6" => mitigations.push(baseline),
-        "fig3" => {
-            mitigations.push(baseline);
-            for trhd in [500u32, 1000, 2000] {
-                mitigations.push(mint_rfm(trhd));
-                mitigations.push(MitigationConfig::PracAbo { trhd });
-            }
-        }
-        "table5" => {
-            workloads = ws.into_iter().step_by(3).collect();
-            mitigations.push(baseline);
-            for mint_w in [24u32, 48, 96] {
-                for queue in [1usize, 2, 4, 8] {
-                    mitigations.push(MitigationConfig::MirzaNaive { mint_w, queue });
-                }
-            }
-        }
-        "table6" => {
-            for fth in [1400u32, 1500, 1600, 1700] {
-                for mapping in [MappingScheme::Sequential, MappingScheme::Strided] {
-                    let cfg = MirzaConfig {
-                        fth,
-                        mapping,
-                        ..MirzaConfig::trhd_1000()
-                    };
-                    mitigations.push(MitigationConfig::Mirza {
-                        cfg: lab.scale().mirza_config(cfg),
-                        policy: ResetPolicy::Safe,
-                    });
-                }
-            }
-        }
-        "fig11a" | "fig11b" => {
-            if name == "fig11a" {
-                mitigations.push(baseline); // slowdown columns
-            }
-            for trhd in [500u32, 1000, 2000] {
-                mitigations.push(lab.mirza(trhd));
-            }
-            mitigations.push(MitigationConfig::PracAbo { trhd: 1000 });
-        }
-        "table8" => {
-            for trhd in [500u32, 1000, 2000] {
-                mitigations.push(lab.mirza(trhd));
-            }
-        }
-        "table9" => {
-            mitigations.push(baseline);
-            for mint_w in [4u32, 8, 12, 16] {
-                mitigations.push(lab.mirza_sensitivity(mint_w));
-            }
-        }
-        "fig13" => {
-            for trhd in [500u32, 1000, 2000] {
-                mitigations.push(mint_rfm(trhd));
-                mitigations.push(lab.mirza(trhd));
-            }
-        }
-        "table13" => {
-            mitigations.push(baseline);
-            for trhd in [500u32, 1000, 2000] {
-                mitigations.push(MitigationConfig::PracAbo { trhd });
-                mitigations.push(mint_rfm(trhd));
-                mitigations.push(lab.mirza(trhd));
-            }
-        }
-        // dos-sim and the analytic regenerators drive no lab cells.
-        _ => {}
-    }
-    mitigations
-        .into_iter()
-        .flat_map(|m| workloads.iter().map(move |&w| (m, w)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,54 +399,5 @@ mod tests {
         let mut lab = smoke_lab();
         let t = table13(&mut lab);
         assert_eq!(t.lines().filter(|l| l.contains('x')).count(), 9);
-    }
-
-    /// Every driver's actual lab requests must match its prewarm plan
-    /// exactly: a missing cell silently serializes part of the sweep, an
-    /// extra one burns a worker on a run nobody reads.
-    #[test]
-    fn planned_runs_exactly_cover_every_drivers_requests() {
-        use std::collections::BTreeSet;
-        type Driver = fn(&mut Lab) -> String;
-        let drivers: [(&str, Driver); 11] = [
-            ("table4", table4),
-            ("fig3", fig3),
-            ("table5", table5),
-            ("fig6", fig6),
-            ("table6", table6),
-            ("fig11a", fig11a),
-            ("fig11b", fig11b),
-            ("table8", table8),
-            ("table9", table9),
-            ("fig13", fig13),
-            ("table13", table13),
-        ];
-        for (name, driver) in drivers {
-            let mut lab = smoke_lab();
-            lab.enable_manifest();
-            lab.begin_experiment(name);
-            let planned: BTreeSet<String> = planned_runs(name, &lab)
-                .into_iter()
-                .map(|(m, w)| format!("{}/{w}", m.label()))
-                .collect();
-            let _ = driver(&mut lab);
-            let doc = lab.manifest_json().unwrap();
-            let runs = doc.get("experiments").unwrap().as_arr().unwrap()[0]
-                .get("runs")
-                .unwrap()
-                .as_arr()
-                .unwrap();
-            let actual: BTreeSet<String> = runs
-                .iter()
-                .map(|r| {
-                    format!(
-                        "{}/{}",
-                        r.get("label").unwrap().as_str().unwrap(),
-                        r.get("workload").unwrap().as_str().unwrap()
-                    )
-                })
-                .collect();
-            assert_eq!(planned, actual, "prewarm plan for {name} drifted");
-        }
     }
 }

@@ -3,20 +3,27 @@
 //! (mitigation label, workload).
 //!
 //! With `jobs > 1` the lab also fronts the supervised work-pool
-//! (`mirza-runner`): [`Lab::prewarm`] executes a set of (mitigation,
-//! workload) cells on worker threads and parks the finished runs in a
-//! pending map. The experiment drivers stay serial and call [`Lab::run`]
-//! in their natural order; a pending hit replays the parked run through
-//! the exact serial bookkeeping sequence (audit warnings, epoch streams,
-//! manifest record, CSV append, cache insert), so manifests and CSVs are
-//! bit-identical to a `jobs = 1` run in their gated sections regardless of
-//! worker completion order. Prewarming a pair no driver ever asks for
-//! wastes compute but cannot alter any output.
+//! (`mirza-runner`). [`Lab::sweep`] takes a lab driver, any function that
+//! asks [`Lab::run`] for reports, and calls it twice. In the planning pass
+//! every uncached request is noted, in first-request order, and answered
+//! with a zeroed stand-in report. The pool then runs the planned cells,
+//! and their results go through the serial bookkeeping (audit warnings,
+//! epoch streams, manifest record, CSV append, cache insert) in plan
+//! order. In the real pass every request is a cache hit. No driver's
+//! requests depend on a report's values, so plan order is the order a
+//! serial run makes them in, and manifests and CSVs are bit-identical to
+//! a `jobs = 1` run whatever order the workers finish in. Were a driver's
+//! requests to depend on them, the cells the plan missed would run
+//! serially on demand: the same output, with less parallelism.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use mirza_core::config::MirzaConfig;
 use mirza_core::rct::ResetPolicy;
+use mirza_dram::mitigation::MitigationStats;
+use mirza_dram::stats::DeviceStats;
+use mirza_dram::time::Ps;
+use mirza_memctrl::request::McStats;
 use mirza_runner::{scale_wall_budget, Cell, CellFailure, Pool};
 use mirza_sim::config::{MitigationConfig, SimConfig};
 use mirza_sim::faults::{FaultInjector, FaultPlan};
@@ -24,7 +31,8 @@ use mirza_sim::report::SimReport;
 use mirza_sim::runner::try_run_workload_with;
 use mirza_sim::SimError;
 use mirza_telemetry::{
-    names, progress, ChromeTraceSink, EpochSampler, Json, SpanCollector, Telemetry,
+    names, progress, AttributionSummary, ChromeTraceSink, EpochSampler, Json, SpanCollector,
+    StallBucket, Telemetry,
 };
 
 use crate::scale::Scale;
@@ -69,19 +77,20 @@ pub struct Lab {
     /// Where the manifest will be written; a fatal error flushes the
     /// partial document here before exiting.
     pub manifest_path: Option<std::path::PathBuf>,
-    /// Worker threads for [`Lab::prewarm`] campaigns (1 = fully serial;
-    /// the CLI stamps `--jobs` here). Any value preserves serial output:
-    /// see the module docs.
+    /// Worker threads for [`Lab::sweep`] (1 = fully serial; the CLI
+    /// stamps `--jobs` here). Any value preserves serial output: see the
+    /// module docs.
     pub jobs: usize,
-    /// Completed parallel runs awaiting their serial-order replay.
-    prewarmed: HashMap<String, PrewarmedRun>,
-    /// Cells that failed in the pool after supervision. The serial pass
-    /// re-attempts each on demand; persistent errors still end in
-    /// [`Lab::fatal`] with the underlying error's exit code, and the
-    /// manifest carries this list as a top-level `failures` section.
-    prewarm_failures: Vec<CellFailure>,
-    /// Aggregate pool statistics across prewarm campaigns (manifest
-    /// top-level `runner` section; absent when no pool ever ran).
+    /// The cells a sweep's planning pass has asked for, deduplicated and
+    /// in first-request order (`None` outside a planning pass).
+    plan: Option<Vec<LabCellSpec>>,
+    /// Cells that failed in the pool after supervision. Each is re-run on
+    /// the caller thread; persistent errors still end in [`Lab::fatal`]
+    /// with the underlying error's exit code, and the manifest carries
+    /// this list as a top-level `failures` section.
+    pool_failures: Vec<CellFailure>,
+    /// Aggregate pool statistics across sweeps (manifest top-level
+    /// `runner` section; absent when no pool ever ran).
     runner_stats: Option<RunnerStats>,
 }
 
@@ -143,10 +152,55 @@ struct LabCellSpec {
     verbose: bool,
 }
 
-/// A completed run carried from a worker back to the serial replay: the
-/// report plus every manifest section precomputed, so the replay touches
-/// no telemetry and stays byte-deterministic.
-struct PrewarmedRun {
+impl LabCellSpec {
+    /// The planning pass's answer to a request: the right label and
+    /// workload, one zero IPC per core, every counter zero, and an empty
+    /// attribution when spans are armed. Never cached or recorded.
+    fn stand_in(&self) -> SimReport {
+        SimReport {
+            label: self.label.clone(),
+            workload: self.workload.clone(),
+            core_ipc: vec![0.0; self.cfg.cores],
+            instructions: 0,
+            elapsed: Ps::ZERO,
+            device: DeviceStats::default(),
+            mitigation: MitigationStats::default(),
+            mc: McStats::default(),
+            acts_per_subarray: Vec::new(),
+            llc_hits: 0,
+            llc_misses: 0,
+            t_refi: Ps::ZERO,
+            t_refw: Ps::ZERO,
+            subchannels: 0,
+            attribution: self.spanning.then_some(AttributionSummary {
+                requests: 0,
+                total_stall_ps: 0,
+                buckets_ps: [0; StallBucket::ALL.len()],
+                conserved: true,
+            }),
+        }
+    }
+}
+
+impl Cell for LabCellSpec {
+    type Out = CompletedRun;
+
+    fn id(&self) -> String {
+        self.key.clone()
+    }
+
+    fn run(&self) -> Result<CompletedRun, SimError> {
+        // Partial epoch streams of failed cells are dropped here; the
+        // serial retry regenerates (and on a persistent error, flushes)
+        // them via `Lab::fatal`.
+        Lab::execute_spec(self).map_err(|(err, _epochs)| err)
+    }
+}
+
+/// A completed run on its way to [`Lab::record`]: the report plus every
+/// manifest section precomputed, so recording touches no telemetry and
+/// stays byte-deterministic wherever the run executed.
+struct CompletedRun {
     label: String,
     workload: String,
     cfg: SimConfig,
@@ -165,26 +219,6 @@ struct RunSections {
     audit_violations: Option<u64>,
     faults: Option<Json>,
     verdict: Option<Json>,
-}
-
-/// [`Cell`] adapter for the pool.
-struct LabCell {
-    spec: LabCellSpec,
-}
-
-impl Cell for LabCell {
-    type Out = PrewarmedRun;
-
-    fn id(&self) -> String {
-        self.spec.key.clone()
-    }
-
-    fn run(&self) -> Result<PrewarmedRun, SimError> {
-        // Partial epoch streams of failed cells are dropped here; the
-        // serial retry regenerates (and on a persistent error, flushes)
-        // them via `Lab::fatal`.
-        Lab::execute_spec(&self.spec).map_err(|(err, _epochs)| err)
-    }
 }
 
 impl Lab {
@@ -208,8 +242,8 @@ impl Lab {
             attribution: false,
             trace_chrome: None,
             jobs: 1,
-            prewarmed: HashMap::new(),
-            prewarm_failures: Vec::new(),
+            plan: None,
+            pool_failures: Vec::new(),
             runner_stats: None,
         }
     }
@@ -234,7 +268,7 @@ impl Lab {
     /// Gathers every optional manifest section from a run's live
     /// telemetry. Each is attached only when its collector ran, so
     /// probe-off manifests stay byte-compatible with earlier versions.
-    /// Static (no `&self`) so pool workers can call it for prewarmed runs.
+    /// Static (no `&self`) so pool workers can call it for pooled runs.
     fn collect_sections(
         cfg: &SimConfig,
         telemetry: &Telemetry,
@@ -253,7 +287,7 @@ impl Lab {
         }
     }
 
-    fn record_run(
+    fn push_manifest_run(
         &mut self,
         label: &str,
         workload: &str,
@@ -345,9 +379,9 @@ impl Lab {
         if let Some(stats) = &self.runner_stats {
             doc.push("runner", stats.to_json(self.jobs));
         }
-        if !self.prewarm_failures.is_empty() {
+        if !self.pool_failures.is_empty() {
             let failures: Vec<Json> = self
-                .prewarm_failures
+                .pool_failures
                 .iter()
                 .map(|f| {
                     let mut j = Json::obj();
@@ -452,23 +486,60 @@ impl Lab {
     }
 
     /// Runs (or recalls) `workload` under `mitigation`. Probe collectors
-    /// (epoch sampler, protocol auditor) attach only to fresh simulations
-    /// — cache recalls return the memoized report, and a
-    /// [`Lab::prewarm`]-completed run replays its parked result through
-    /// the same serial bookkeeping a fresh run would perform.
+    /// (epoch sampler, protocol auditor) attach only to fresh simulations;
+    /// cache recalls return the memoized report. In a sweep's planning
+    /// pass an uncached request joins the plan and gets a stand-in report
+    /// (see [`Lab::sweep`]).
     pub fn run(&mut self, mitigation: MitigationConfig, workload: &str) -> SimReport {
         let key = format!("{}/{workload}", mitigation.label());
         if let Some(r) = self.cache.get(&key) {
             return r.clone();
         }
-        if let Some(p) = self.prewarmed.remove(&key) {
-            return self.replay(key, p);
+        let spec = self.cell_spec(mitigation, workload, key);
+        let Some(plan) = &mut self.plan else {
+            return self.execute(spec);
+        };
+        let stand_in = spec.stand_in();
+        if plan.iter().all(|planned| planned.key != spec.key) {
+            plan.push(spec);
         }
-        let spec = self.cell_spec(mitigation, workload, key.clone());
-        match Self::execute_spec(&spec) {
-            Ok(p) => self.replay(key, p),
-            Err((err, epochs_jsonl)) => self.fatal(&key, epochs_jsonl.as_deref(), &err),
+        stand_in
+    }
+
+    /// Runs a lab driver, any function that asks [`Lab::run`] for reports,
+    /// and returns what it returns. At `jobs > 1` a planning pass of the
+    /// driver collects its uncached cells, the pool runs them, they are
+    /// recorded in plan order, and the driver runs again on a warm cache
+    /// (see the module docs). A cell that fails in the pool is listed in
+    /// the manifest `failures` section and re-run on the caller thread. At
+    /// `jobs <= 1` this just calls `driver`.
+    pub fn sweep<T>(&mut self, mut driver: impl FnMut(&mut Lab) -> T) -> T {
+        if self.jobs <= 1 {
+            return driver(self);
         }
+        self.plan = Some(Vec::new());
+        driver(self);
+        let cells = self.plan.take().unwrap_or_default();
+        if !cells.is_empty() {
+            let outcome = Pool::with_jobs(self.jobs).run(&cells, None);
+            self.runner_stats
+                .get_or_insert_with(RunnerStats::default)
+                .absorb(&outcome);
+            for f in &outcome.failures {
+                eprintln!(
+                    "warning: cell {} failed after {} attempt(s): {} (retrying serially)",
+                    f.id, f.attempts, f.error
+                );
+            }
+            self.pool_failures.extend(outcome.failures);
+            for (spec, result) in cells.into_iter().zip(outcome.results) {
+                match result {
+                    Some(run) => self.record(spec.key, run),
+                    None => self.execute(spec),
+                };
+            }
+        }
+        driver(self)
     }
 
     /// Builds the plain-data execution spec for one cell. The wall-clock
@@ -502,11 +573,11 @@ impl Lab {
     /// Executes one cell: telemetry session, optional fault injector, the
     /// simulation itself, and the section gathering — everything that
     /// needs the run's live telemetry. Runs on the caller thread for
-    /// serial cells and on pool workers for prewarmed ones (each worker
+    /// serial cells and on pool workers for pooled ones (each worker
     /// builds its own `Telemetry`; the handle is single-threaded by
     /// design and never crosses). On error, any partial epoch stream rides
     /// along so the fatal path can still flush it.
-    fn execute_spec(spec: &LabCellSpec) -> Result<PrewarmedRun, (SimError, Option<String>)> {
+    fn execute_spec(spec: &LabCellSpec) -> Result<CompletedRun, (SimError, Option<String>)> {
         if spec.verbose {
             progress::line(&format!("  running {} ...", spec.key));
         }
@@ -551,7 +622,7 @@ impl Lab {
         let sections = Self::collect_sections(&spec.cfg, &telemetry, injector.as_ref());
         let epochs_jsonl = telemetry.epochs_jsonl();
         Self::flush_chrome(spec, &telemetry);
-        Ok(PrewarmedRun {
+        Ok(CompletedRun {
             label: spec.label.clone(),
             workload: spec.workload.clone(),
             cfg: spec.cfg.clone(),
@@ -562,79 +633,43 @@ impl Lab {
         })
     }
 
-    /// The serial bookkeeping tail every completed run goes through, in
-    /// the exact order the pre-pool serial path used: audit warning,
-    /// epoch stream, manifest record, CSV append, cache insert. Pooled
-    /// runs pass through here at `Lab::run` time, which is what pins
-    /// manifest grouping and CSV row order to the drivers' call order.
-    fn replay(&mut self, key: String, p: PrewarmedRun) -> SimReport {
-        if p.violations > 0 {
+    /// Executes one cell on the caller thread and records it; an error
+    /// ends the process through [`Lab::fatal`].
+    fn execute(&mut self, spec: LabCellSpec) -> SimReport {
+        match Self::execute_spec(&spec) {
+            Ok(run) => self.record(spec.key, run),
+            Err((err, epochs_jsonl)) => self.fatal(&spec.key, epochs_jsonl.as_deref(), &err),
+        }
+    }
+
+    /// The serial bookkeeping every completed run goes through, in this
+    /// order: audit warning, epoch stream, manifest record, CSV append,
+    /// cache insert. Pooled runs pass through here in plan order, which
+    /// pins manifest grouping and CSV row order to the driver's call
+    /// order.
+    fn record(&mut self, key: String, run: CompletedRun) -> SimReport {
+        if run.violations > 0 {
             eprintln!(
                 "warning: {key}: {} protocol violation(s) flagged",
-                p.violations
+                run.violations
             );
-            self.audit_failures.push((key.clone(), p.violations));
+            self.audit_failures.push((key.clone(), run.violations));
         }
-        if let Some(jsonl) = &p.epochs_jsonl {
+        if let Some(jsonl) = &run.epochs_jsonl {
             self.write_epoch_jsonl(&key, jsonl);
         }
-        let PrewarmedRun {
+        let CompletedRun {
             label,
             workload,
             cfg,
             report,
             sections,
             ..
-        } = p;
-        self.record_run(&label, &workload, &cfg, &report, sections);
+        } = run;
+        self.push_manifest_run(&label, &workload, &cfg, &report, sections);
         self.append_csv(&report);
         self.cache.insert(key, report.clone());
         report
-    }
-
-    /// Runs the given (mitigation, workload) cells on the supervised pool
-    /// and parks the results for later [`Lab::run`] replay. No-op at
-    /// `jobs <= 1` (the serial path stays byte-for-byte untouched) and for
-    /// pairs already cached, parked, or duplicated in `pairs`. Cells that
-    /// fail after supervision are recorded in the manifest `failures`
-    /// section and retried serially when (and if) a driver asks for them.
-    pub fn prewarm(&mut self, pairs: &[(MitigationConfig, &'static str)]) {
-        if self.jobs <= 1 {
-            return;
-        }
-        let mut seen = HashSet::new();
-        let mut cells = Vec::new();
-        for &(mitigation, workload) in pairs {
-            let key = format!("{}/{workload}", mitigation.label());
-            if self.cache.contains_key(&key)
-                || self.prewarmed.contains_key(&key)
-                || !seen.insert(key.clone())
-            {
-                continue;
-            }
-            cells.push(LabCell {
-                spec: self.cell_spec(mitigation, workload, key),
-            });
-        }
-        if cells.is_empty() {
-            return;
-        }
-        let outcome = Pool::with_jobs(self.jobs).run(&cells, None);
-        self.runner_stats
-            .get_or_insert_with(RunnerStats::default)
-            .absorb(&outcome);
-        for (cell, result) in cells.iter().zip(outcome.results) {
-            if let Some(p) = result {
-                self.prewarmed.insert(cell.spec.key.clone(), p);
-            }
-        }
-        for f in &outcome.failures {
-            eprintln!(
-                "warning: cell {} failed after {} attempt(s): {} (will retry serially on demand)",
-                f.id, f.attempts, f.error
-            );
-        }
-        self.prewarm_failures.extend(outcome.failures);
     }
 
     /// Terminal error path: flush what the run produced (epoch stream,

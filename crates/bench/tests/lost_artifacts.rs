@@ -7,8 +7,6 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
-use mirza_bench::experiments;
-use mirza_bench::lab::Lab;
 use mirza_bench::scale::Scale;
 use mirza_sim::report::SimReport;
 
@@ -109,7 +107,7 @@ fn csv_to_stdout_has_one_header_and_one_row_per_run() {
         1,
         "stdout:\n{stdout}"
     );
-    let runs = experiments::planned_runs("table4", &Lab::new(Scale::smoke())).len();
+    let runs = Scale::smoke().workloads.len(); // one baseline run each
     assert_eq!(csv.len(), 1 + runs, "stdout:\n{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }

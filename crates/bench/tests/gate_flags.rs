@@ -1,7 +1,8 @@
-//! `--compare` and `--strict-audit` gate the run manifest a simulation
-//! experiment writes. A target that writes none must refuse them, or a
-//! mistyped CI line would pass without checking anything. `dos-sim` also
-//! refuses every other flag that only a lab run honours.
+//! Each `repro` target honours a fixed set of artifact and probe flags. A
+//! flag it cannot honour must be refused before anything runs: a
+//! `--compare` or `--strict-audit` on a target that writes no manifest
+//! would let a mistyped CI line pass without checking anything, and any
+//! other ignored flag promises a file or a probe that never appears.
 
 use std::process::{Command, Output};
 
@@ -11,6 +12,22 @@ fn repro(dir: &std::path::Path, args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("spawn repro")
+}
+
+/// `repro <command> --smoke --quiet` (split on spaces) exits 1 and names
+/// every flag in `refused` on stderr.
+fn assert_refused(dir: &std::path::Path, command: &str, refused: &[&str]) {
+    let mut args: Vec<&str> = command.split(' ').collect();
+    args.extend(["--smoke", "--quiet"]);
+    let out = repro(dir, &args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "repro {command}: {stderr}");
+    for flag in refused {
+        assert!(
+            stderr.contains(flag),
+            "repro {command} must name the refused {flag}: {stderr}"
+        );
+    }
 }
 
 #[test]
@@ -25,17 +42,50 @@ fn gate_flags_are_usage_errors_on_targets_without_a_manifest() {
         "watchdog-demo",
         "replay.trace",
     ] {
-        for gate in [&["--compare", "baseline.json"][..], &["--strict-audit"]] {
-            let mut args = vec![target, "--smoke", "--quiet"];
-            args.extend_from_slice(gate);
-            let out = repro(&dir, &args);
-            assert_eq!(
-                out.status.code(),
-                Some(1),
-                "repro {args:?}: {}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-        }
+        assert_refused(
+            &dir,
+            &format!("{target} --compare baseline.json"),
+            &["--compare"],
+        );
+        assert_refused(
+            &dir,
+            &format!("{target} --strict-audit"),
+            &["--strict-audit"],
+        );
+    }
+
+    // dos-sim runs outside the lab and honours no artifact or probe flag.
+    for flags in [
+        "--csv d.csv",
+        "--json dos.json",
+        "--compare baseline.json",
+        "--audit",
+        "--strict-audit",
+        "--faults rct-seu",
+        "--trace-chrome trace.json",
+        "--epochs 1000",
+        "--epoch-dir epochs",
+    ] {
+        let flag = flags.split(' ').next().unwrap();
+        assert_refused(&dir, &format!("dos-sim {flags}"), &[flag]);
+    }
+
+    // A flag that only other targets honour is refused too.
+    for (command, refused) in [
+        ("table4 --resume", &["--resume"][..]),
+        ("table4 --out o.html", &["--out"]),
+        ("attack-matrix --csv m.csv --faults rct-seu", &["--faults"]),
+        ("attack-matrix --csv m.csv --watchdog 5", &["--watchdog"]),
+        (
+            "attack-matrix --csv m.csv --trace-chrome t.json --epochs 1000 --epoch-dir E",
+            &["--trace-chrome", "--epochs", "--epoch-dir"],
+        ),
+        (
+            "attribution --csv a.csv --audit --faults rct-seu --epochs 1000 --epoch-dir E2",
+            &["--audit", "--faults", "--epochs", "--epoch-dir"],
+        ),
+    ] {
+        assert_refused(&dir, command, refused);
     }
     assert_eq!(
         std::fs::read_dir(&dir).unwrap().count(),
@@ -43,37 +93,10 @@ fn gate_flags_are_usage_errors_on_targets_without_a_manifest() {
         "a refused target must not run"
     );
 
-    // dos-sim runs outside the lab: every flag that only a lab run honours
-    // is refused before anything runs.
-    for flags in [
-        &["--json", "dos.json"][..],
-        &["--compare", "baseline.json"],
-        &["--audit"],
-        &["--strict-audit"],
-        &["--faults", "rct-seu"],
-        &["--trace-chrome", "trace.json"],
-        &["--epochs", "1000"],
-        &["--epoch-dir", "epochs"],
-    ] {
-        let mut args = vec!["dos-sim", "--smoke", "--quiet"];
-        args.extend_from_slice(flags);
-        let out = repro(&dir, &args);
-        assert_eq!(out.status.code(), Some(1), "repro {args:?}");
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains(flags[0]),
-            "repro {args:?} names the refused flag"
-        );
-    }
-    assert_eq!(
-        std::fs::read_dir(&dir).unwrap().count(),
-        0,
-        "a refused dos-sim must not run"
-    );
     assert!(repro(&dir, &["dos-sim", "--smoke", "--quiet"])
         .status
         .success());
-
-    // A manifest target still takes both flags.
+    // A manifest target still takes both gate flags.
     assert!(repro(&dir, &["table1", "--quiet", "--strict-audit"])
         .status
         .success());

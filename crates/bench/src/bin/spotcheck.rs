@@ -23,17 +23,23 @@ fn main() {
     scale.workloads = vec![Box::leak(workload.clone().into_boxed_str())];
     let mut lab = Lab::new(scale);
     lab.verbose = true;
+    // The three runs take hours each at paper scale; run them side by side.
+    lab.jobs = mirza_runner::default_jobs();
 
-    let base = lab.baseline(&workload);
+    let mirza_cfg = lab.mirza(1000);
+    let (base, mirza, prac) = lab.sweep(|lab| {
+        (
+            lab.baseline(&workload),
+            lab.run(mirza_cfg, &workload),
+            lab.run(MitigationConfig::PracAbo { trhd: 1000 }, &workload),
+        )
+    });
     eprintln!(
         "baseline done: {} ACTs over {} ({} windows)",
         base.device.acts,
         base.elapsed,
         base.elapsed.as_ps() as f64 / base.t_refw.as_ps() as f64
     );
-    let mirza_cfg = lab.mirza(1000);
-    let mirza = lab.run(mirza_cfg, &workload);
-    let prac = lab.run(MitigationConfig::PracAbo { trhd: 1000 }, &workload);
 
     println!("paper-scale spot check: {workload}, {millions}M instructions/core");
     println!(

@@ -29,8 +29,7 @@
 //!
 //! Each target honours a fixed set of the artifact and probe flags (one
 //! table in `main`); any other one that is set is a usage error (exit 1)
-//! and nothing runs. `all` warns that its dos-sim step, which runs
-//! outside the lab, ignores them.
+//! and nothing runs.
 //!
 //! Robustness flags: `--faults PLAN` injects a canned fault plan
 //! (`rct-seu`, `abo-drop`, `queue-loss`, `refresh-skip`, `trace-corrupt`,
@@ -113,8 +112,8 @@ const EXTENSION_EXPERIMENTS: &[&str] = &[
 ];
 
 /// Runs one named experiment. Lab drivers go through [`Lab::sweep`], so
-/// their cells run on the work pool at `--jobs N`; the analytic, attack
-/// and dos-sim tables run no lab cells and are called directly.
+/// their cells run on the work pool at `--jobs N`; the analytic and
+/// attack tables run no lab cells and are called directly.
 fn run_experiment(name: &str, lab: &mut Lab) -> Option<String> {
     Some(match name {
         "table1" => analytic::table1(),
@@ -138,7 +137,7 @@ fn run_experiment(name: &str, lab: &mut Lab) -> Option<String> {
         "table13" => lab.sweep(experiments::table13),
         "fig14" => attacks_exp::fig14(),
         "security" => attacks_exp::security_sweep(1),
-        "dos-sim" => attacks_exp::dos_sim(lab.scale()),
+        "dos-sim" => lab.sweep(attacks_exp::dos_sim),
         "ablation-mapping" => lab.sweep(extensions::ablation_mapping),
         "ablation-qth" => lab.sweep(extensions::ablation_qth),
         "ablation-queue" => lab.sweep(extensions::ablation_queue),
@@ -491,7 +490,7 @@ fn main() -> ExitCode {
         "attack-matrix" => "--csv --json --resume",
         "attribution" => "--csv --json --trace-chrome",
         "report" => "--out",
-        "watchdog-demo" | "dos-sim" => "",
+        "watchdog-demo" => "",
         _ => {
             "--csv --json --epochs --epoch-dir --audit --strict-audit --compare --faults \
               --watchdog --trace-chrome"
@@ -507,12 +506,6 @@ fn main() -> ExitCode {
     if !refused.is_empty() {
         eprintln!("error: `{target}` cannot honour {}", refused.join(", "));
         return ExitCode::FAILURE;
-    }
-    if target == "all" && !given.is_empty() {
-        eprintln!(
-            "warning: dos-sim runs outside the lab; {} do not apply to it",
-            given.join(", ")
-        );
     }
     let fault_plan = match faults.as_deref().map(FaultPlan::parse) {
         Some(Ok(plan)) => Some(plan),

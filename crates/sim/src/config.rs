@@ -4,7 +4,7 @@
 use mirza_core::config::MirzaConfig;
 use mirza_core::mirza::Mirza;
 use mirza_core::rct::ResetPolicy;
-use mirza_dram::address::MappingScheme;
+use mirza_dram::address::{BankId, MappingScheme, RegionMap, RowMapping};
 use mirza_dram::geometry::Geometry;
 use mirza_dram::mitigation::{Mitigator, NullMitigator};
 use mirza_dram::time::Ps;
@@ -18,6 +18,7 @@ use mirza_trackers::mithril::Mithril;
 use mirza_trackers::para::Para;
 use mirza_trackers::prac::PracMoat;
 use mirza_trackers::trr::Trr;
+use mirza_workloads::attacks::RowPattern;
 
 /// Which Rowhammer mitigation the simulated system runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -158,6 +159,31 @@ impl MitigationConfig {
     }
 }
 
+/// An attacker core (Section IX's performance attack): it replays
+/// `pattern`'s rows of `bank`, uncached and physically addressed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Attacker {
+    /// The bank the kernel hammers.
+    pub bank: BankId,
+    /// The rows it cycles through.
+    pub pattern: RowPattern,
+}
+
+impl Attacker {
+    /// The Figure-12 kernel: 16 rows of RCT region 3 of bank 0, under
+    /// MIRZA-1K's strided mapping and 128 regions. Every Table IX config
+    /// shares that mapping and region count, so one kernel serves each W.
+    pub fn figure12(geom: &Geometry) -> Self {
+        let mirza = MirzaConfig::trhd_1000();
+        let mapping = RowMapping::new(mirza.mapping, geom.rows_per_bank, geom.subarrays_per_bank);
+        let regions = RegionMap::new(geom.rows_per_bank, mirza.regions_per_bank);
+        Attacker {
+            bank: BankId::new(0, 0, 0),
+            pattern: RowPattern::same_region(&mapping, &regions, 3, 16),
+        }
+    }
+}
+
 /// Full simulation configuration (Table III defaults).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
@@ -165,8 +191,10 @@ pub struct SimConfig {
     pub geometry: Geometry,
     /// Installed mitigation.
     pub mitigation: MitigationConfig,
-    /// Core count (8 in the paper, rate mode).
+    /// Core count (8 in the paper, rate mode), the attacker's included.
     pub cores: usize,
+    /// An attacker core, run as the last of `cores`.
+    pub attacker: Option<Attacker>,
     /// Instructions each core retires before the run ends (250 M simpoints
     /// in the paper; scaled down in fast mode).
     pub instructions_per_core: u64,
@@ -213,12 +241,16 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
+    /// Table III's core count.
+    pub const CORES: usize = 8;
+
     /// Baseline system with the given per-core instruction budget.
     pub fn new(mitigation: MitigationConfig, instructions_per_core: u64) -> Self {
         SimConfig {
             geometry: Geometry::ddr5_32gb(),
             mitigation,
-            cores: 8,
+            cores: Self::CORES,
+            attacker: None,
             instructions_per_core,
             core_params: CoreParams::default(),
             metrics_mapping: MappingScheme::Strided,
@@ -277,6 +309,14 @@ impl SimConfig {
             .push("t_refi_ps", t.t_refi.as_ps())
             .push("t_refw_ps", t.t_refw.as_ps())
             .push("rowpress", self.rowpress);
+        if let Some(a) = &self.attacker {
+            let rows = a.pattern.rows().iter().map(|&r| Json::from(r)).collect();
+            let mut attacker = Json::obj();
+            attacker
+                .push("bank", a.bank.flat_in_channel(&self.geometry))
+                .push("rows", Json::Arr(rows));
+            doc.push("attacker", attacker);
+        }
         doc
     }
 }

@@ -20,10 +20,10 @@ pub use mirza_frontend::error::SimError;
 
 /// Convenient re-exports.
 pub mod prelude {
-    pub use crate::config::{MitigationConfig, SimConfig};
+    pub use crate::config::{Attacker, MitigationConfig, SimConfig};
     pub use crate::faults::{FaultInjector, FaultKind, FaultPlan, PlannedFault};
     pub use crate::report::SimReport;
-    pub use crate::runner::{attack_stream, build_traces, run_with_attacker, run_workload};
+    pub use crate::runner::{attack_stream, run_workload};
     pub use crate::system::{CoreSetup, System};
     pub use crate::SimError;
 }

@@ -13,7 +13,7 @@ use mirza_dram::address::BankId;
 use mirza_dram::time::Ps;
 use mirza_sim::config::{MitigationConfig, SimConfig};
 use mirza_sim::report::SimReport;
-use mirza_sim::runner::{attack_stream, build_traces};
+use mirza_sim::runner::{attack_stream, try_build_traces};
 use mirza_sim::system::{CoreSetup, System};
 use mirza_telemetry::{
     ChromeTraceSink, EpochSampler, EventSink, SharedBuf, SpanCollector, Telemetry, TraceSink,
@@ -65,7 +65,7 @@ fn run(mitigation: MitigationConfig, subset: Option<u32>) -> SimReport {
     cfg.llc_sets = 256;
     cfg.audit = armed(AUDIT);
     cfg.track_row_acts = armed(CENSUS);
-    let benign = build_traces("lbm", 1, cfg.seed, 64).remove(0);
+    let benign = try_build_traces("lbm", 1, cfg.seed, 64).unwrap().remove(0);
     let hammer = RowPattern::circular(vec![1000, 1002]);
     let setups = vec![
         CoreSetup::benign(benign, cfg.instructions_per_core),

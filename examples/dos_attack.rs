@@ -5,12 +5,10 @@
 
 use mirza::core::config::MirzaConfig;
 use mirza::core::rct::ResetPolicy;
-use mirza::dram::address::{BankId, RegionMap, RowMapping};
 use mirza::dram::time::Ps;
 use mirza::dram::timing::TimingParams;
 use mirza::security::dos;
 use mirza::sim::prelude::*;
-use mirza::workloads::attacks::RowPattern;
 
 fn main() {
     let timing = TimingParams::ddr5_6000();
@@ -49,16 +47,13 @@ fn main() {
     cfg.t_refw = Some(Ps::from_ms(32) / 64);
     cfg.llc_sets = 256;
     cfg.footprint_divisor = 64;
+    cfg.attacker = Some(Attacker::figure12(&cfg.geometry));
 
-    let geom = cfg.geometry;
-    let mapping = RowMapping::new(base.mapping, geom.rows_per_bank, geom.subarrays_per_bank);
-    let regions = RegionMap::new(geom.rows_per_bank, base.regions_per_bank);
-    let pattern = RowPattern::same_region(&mapping, &regions, 3, 16);
-
-    let attacked = run_with_attacker(&cfg, "lbm", BankId::new(0, 0, 0), &pattern);
+    let attacked = run_workload(&cfg, "lbm");
 
     let mut solo_cfg = cfg.clone();
     solo_cfg.cores = 3;
+    solo_cfg.attacker = None;
     let solo = run_workload(&solo_cfg, "lbm");
 
     let rel = attacked.weighted_speedup(&solo) / solo.core_ipc.len() as f64;

@@ -9,14 +9,12 @@
 
 use mirza::core::config::MirzaConfig;
 use mirza::core::rct::ResetPolicy;
-use mirza::dram::address::{BankId, RegionMap, RowMapping};
-use mirza::sim::config::{MitigationConfig, SimConfig};
+use mirza::sim::config::{Attacker, MitigationConfig};
 use mirza::sim::faults::{FaultInjector, FaultPlan};
 use mirza::sim::report::SimReport;
 use mirza::sim::runner::{attack_stream, try_build_traces};
 use mirza::sim::system::{CoreSetup, System};
 use mirza::trackers::mint_rfm::MintRfm;
-use mirza::workloads::attacks::RowPattern;
 use mirza_bench::scale::Scale;
 use mirza_runner::cell_hash;
 use mirza_telemetry::{EpochSampler, SpanCollector, Telemetry};
@@ -55,17 +53,6 @@ fn mitigators(scale: &Scale) -> [(&'static str, MitigationConfig); 6] {
     ]
 }
 
-/// The Figure-12 kernel of `repro dos-sim`: 16 rows of one RCT region of
-/// bank 0, replayed uncached and physically addressed.
-fn attacker(cfg: &SimConfig) -> CoreSetup {
-    let mirza = MirzaConfig::trhd_1000();
-    let geom = cfg.geometry;
-    let mapping = RowMapping::new(mirza.mapping, geom.rows_per_bank, geom.subarrays_per_bank);
-    let regions = RegionMap::new(geom.rows_per_bank, mirza.regions_per_bank);
-    let pattern = RowPattern::same_region(&mapping, &regions, 3, 16);
-    CoreSetup::attacker(attack_stream(cfg, BankId::new(0, 0, 0), &pattern))
-}
-
 /// One case's report, injected fault count and digested parts, in file
 /// order.
 struct Run {
@@ -90,7 +77,9 @@ fn run(scale: &Scale, mitigation: MitigationConfig, attacked: bool) -> Run {
             .map(|t| CoreSetup::benign(t, INSTRUCTIONS))
             .collect();
     let workload = if attacked {
-        setups.push(attacker(&cfg));
+        let kernel = Attacker::figure12(&cfg.geometry);
+        let stream = attack_stream(&cfg, kernel.bank, &kernel.pattern);
+        setups.push(CoreSetup::attacker(stream));
         "mcf+attack"
     } else {
         "mcf"

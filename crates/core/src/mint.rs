@@ -52,11 +52,6 @@ impl MintSampler {
         self.w
     }
 
-    /// Candidates observed in the current window so far.
-    pub fn seen_in_window(&self) -> u32 {
-        self.seen
-    }
-
     /// Feeds one candidate activation. Returns `Some(row)` when this
     /// candidate is the one selected for the current window.
     pub fn observe(&mut self, row: u32) -> Option<u32> {

@@ -129,11 +129,6 @@ impl Mirza {
         &self.queues[bank]
     }
 
-    /// Total selections dropped on full queues across all banks.
-    pub fn queue_drops(&self) -> u64 {
-        self.queues.iter().map(MirzaQueue::drops).sum()
-    }
-
     fn recompute_alert(&mut self) {
         self.alert = self.queues.iter().any(MirzaQueue::wants_alert);
     }

@@ -224,11 +224,6 @@ impl Subchannel {
         self.mitigator.stats()
     }
 
-    /// Name of the installed mitigator.
-    pub fn mitigator_name(&self) -> &'static str {
-        self.mitigator.name()
-    }
-
     /// ACT counts per (bank, physical subarray), row-major by bank.
     pub fn acts_per_subarray(&self) -> &[u64] {
         &self.act_hist

@@ -14,17 +14,6 @@ pub fn prac_counter_bits(trh: u32) -> u32 {
     32 - (trh - 1).leading_zeros()
 }
 
-/// PRAC area per subarray of `rows` rows, in F²: one DRAM counter per row.
-pub fn prac_area_per_subarray(trh: u32, rows: u32) -> f64 {
-    f64::from(prac_counter_bits(trh) * rows) * DRAM_CELL_F2
-}
-
-/// MIRZA area per subarray, in F²: `counter_bits` SRAM bits per region and
-/// `regions_per_subarray` regions covering the subarray.
-pub fn mirza_area_per_subarray(counter_bits: u32, regions_per_subarray: u32) -> f64 {
-    f64::from(counter_bits * regions_per_subarray) * SRAM_CELL_F2
-}
-
 /// One Table X row: relative areas at a given threshold.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AreaRow {

@@ -10,6 +10,7 @@ use std::process::{Command, Stdio};
 use mirza_bench::attack_matrix::{
     run_matrix_supervised, MatrixRunConfig, MatrixSpec, MitigatorKind, ScheduleKind, StrategyKind,
 };
+use mirza_bench::attacks_exp;
 use mirza_bench::experiments;
 use mirza_bench::extensions;
 use mirza_bench::lab::Lab;
@@ -39,17 +40,19 @@ fn small_spec(seed: u64) -> MatrixSpec {
 /// the byte-identical rendered tables, manifest run records and CSV the
 /// serial path does. The drivers ask for their cells in different orders:
 /// table4 one column, fig11a workload-major across five columns (the
-/// baseline is cached by then), and ablation_queue config-major. Every run
+/// baseline is cached by then), and ablation_queue config-major; dos_sim
+/// mixes core counts, 7 benign cores with and without an attacker. Every run
 /// section is deterministic, so the whole `experiments` array is compared;
 /// epochs and the auditor are armed so their sections take part. At
 /// `jobs = 4` every recorded run must have come from the pool.
 #[test]
 fn lab_sweeps_are_bit_identical_across_job_counts() {
     type Driver = fn(&mut Lab) -> String;
-    let drivers: [(&str, Driver); 3] = [
+    let drivers: [(&str, Driver); 4] = [
         ("table4", experiments::table4),
         ("fig11a", experiments::fig11a),
         ("ablation-queue", extensions::ablation_queue),
+        ("dos-sim", attacks_exp::dos_sim),
     ];
     let dir = temp_dir("sweeps");
     let mut artifacts = Vec::new();

@@ -19,8 +19,10 @@
 //!
 //! The [`rig`] module replays any (strategy, schedule) pair against any
 //! [`mirza_dram::mitigation::Mitigator`] on a faithful REF/ALERT timeline
-//! and judges the outcome with a victim model. The pattern-replay
-//! Monte-Carlo entry points (`HammerHarness`, `run_hammer`) live there too.
+//! and judges the outcome with a victim model. [`rig::run_attack`] is its
+//! one run loop; a fixed [`mirza_workloads::attacks::RowPattern`] runs
+//! through it as a [`strategy::PatternStrategy`] under a
+//! [`schedule::Burst`] schedule.
 //!
 //! Everything is deterministic for a fixed seed: strategies draw their
 //! randomness from seeded `SmallRng` streams and the rig itself is

@@ -1,10 +1,10 @@
 //! Supervised parallel sweep engine (ROADMAP item 1).
 //!
-//! Campaign surfaces — the table4 workload×mitigator grid, the 224-cell
-//! attack matrix, the attribution sweep, the Monte-Carlo rig — decompose
-//! into independent, seeded, pure cells. This crate runs those cells on
-//! hand-rolled scoped `std::thread` workers with the robustness-first
-//! contract paper-scale campaigns need:
+//! Campaign surfaces — every lab sweep (the table4 workload×mitigator
+//! grid, the attribution sweep, dos-sim's attacked cells) and the 224-cell
+//! attack matrix — decompose into independent, seeded, pure cells. This
+//! crate runs those cells on hand-rolled scoped `std::thread` workers with
+//! the robustness-first contract paper-scale campaigns need:
 //!
 //! * [`pool`] — the work-pool: [`Cell`] trait, panic isolation via
 //!   `catch_unwind`, bounded retry, nondeterministic completion with
@@ -23,6 +23,4 @@ pub mod journal;
 pub mod pool;
 
 pub use journal::{cell_hash, parse_journal, Journal, JournalRecord, JOURNAL_SCHEMA};
-pub use pool::{
-    default_jobs, parallel_map, scale_wall_budget, Cell, CellFailure, OnComplete, Outcome, Pool,
-};
+pub use pool::{default_jobs, scale_wall_budget, Cell, CellFailure, OnComplete, Outcome, Pool};

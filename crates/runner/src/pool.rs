@@ -10,10 +10,9 @@
 //!   neighboring cell keep running.
 //! * **Bounded retry** — failures classified transient (watchdog aborts,
 //!   panics, I/O races such as fd exhaustion under parallel trace loads) are
-//!   re-queued once with the same seed and payload, up to
-//!   [`Pool::max_attempts`] total attempts on a fresh worker slot.
-//!   Deterministic input errors (config, trace parse, unknown workload)
-//!   fail fast on the first attempt.
+//!   re-queued once with the same seed and payload on a fresh worker
+//!   slot, two attempts in all. Deterministic input errors (config, trace
+//!   parse, unknown workload) fail fast on the first attempt.
 //! * **Deterministic reduction** — workers complete in nondeterministic
 //!   order but every result lands in `Outcome::results[index]` keyed by the
 //!   cell's canonical enumeration index, so callers that serialize the
@@ -80,7 +79,7 @@ pub struct CellFailure {
     pub index: usize,
     /// Stable cell id.
     pub id: String,
-    /// Attempts consumed (1 = failed fast, `max_attempts` = retries too).
+    /// Attempts consumed (1 = failed fast, 2 = retried too).
     pub attempts: u32,
     /// The final attempt's error.
     pub error: SimError,
@@ -145,24 +144,16 @@ impl<T> Outcome<T> {
     }
 }
 
+/// Total attempts per cell (first run + retries): one fresh-worker retry
+/// for transient failures.
+const MAX_ATTEMPTS: u32 = 2;
+
 /// Supervision policy for one campaign.
 #[derive(Debug, Clone)]
 pub struct Pool {
     /// Worker threads; `<= 1` runs every cell inline on the caller thread
     /// (the serial path — same supervision, no spawns).
     pub jobs: usize,
-    /// Total attempts per cell (first run + retries). The issue contract is
-    /// 2: one fresh-worker retry for transient failures.
-    pub max_attempts: u32,
-}
-
-impl Default for Pool {
-    fn default() -> Self {
-        Pool {
-            jobs: 1,
-            max_attempts: 2,
-        }
-    }
 }
 
 /// Completion hook type: `(index, id, out)` per successful cell. Fires
@@ -171,12 +162,9 @@ impl Default for Pool {
 pub type OnComplete<'a, O> = &'a (dyn Fn(usize, &str, &O) + Sync);
 
 impl Pool {
-    /// A pool with `jobs` workers and the default retry budget.
+    /// A pool with `jobs` workers.
     pub fn with_jobs(jobs: usize) -> Self {
-        Pool {
-            jobs: jobs.max(1),
-            ..Pool::default()
-        }
+        Pool { jobs: jobs.max(1) }
     }
 
     /// Runs every cell, supervising panics/timeouts, and reduces results
@@ -245,7 +233,7 @@ impl Pool {
                             },
                             Ok(Ok(_)) => unreachable!("handled above"),
                         };
-                        if retryable(&error) && task.attempt < self.max_attempts {
+                        if retryable(&error) && task.attempt < MAX_ATTEMPTS {
                             retries.fetch_add(1, Ordering::Relaxed);
                             queue.lock().expect("pool queue poisoned").push_back(Task {
                                 index: task.index,
@@ -343,54 +331,4 @@ pub fn default_jobs() -> usize {
 /// progress per cell is independent of co-runners.
 pub fn scale_wall_budget(base: Duration, jobs: usize) -> Duration {
     base * jobs.max(1) as u32
-}
-
-/// Order-preserving parallel map over `items` with panic propagation: the
-/// closure runs on pool workers, results return in item order regardless of
-/// completion order. A panicking closure call is re-raised on the caller
-/// thread (single attempt — a pure map has nothing to retry).
-pub fn parallel_map<I, T, F>(items: &[I], jobs: usize, f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> T + Sync,
-{
-    struct MapCell<'a, I, F> {
-        index: usize,
-        item: &'a I,
-        f: &'a F,
-    }
-    impl<I, T, F> Cell for MapCell<'_, I, F>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(usize, &I) -> T + Sync,
-    {
-        type Out = T;
-        fn id(&self) -> String {
-            format!("map[{}]", self.index)
-        }
-        fn run(&self) -> Result<T, SimError> {
-            Ok((self.f)(self.index, self.item))
-        }
-    }
-
-    let cells: Vec<MapCell<'_, I, F>> = items
-        .iter()
-        .enumerate()
-        .map(|(index, item)| MapCell { index, item, f: &f })
-        .collect();
-    let pool = Pool {
-        jobs,
-        max_attempts: 1,
-    };
-    let outcome = pool.run(&cells, None);
-    if let Some(first) = outcome.failures.first() {
-        panic!("parallel_map cell {} failed: {}", first.id, first.error);
-    }
-    outcome
-        .results
-        .into_iter()
-        .map(|r| r.expect("no failures"))
-        .collect()
 }

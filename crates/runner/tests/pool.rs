@@ -2,7 +2,7 @@
 //! panic isolation, bounded retry, and journal crash tolerance.
 
 use mirza_frontend::error::SimError;
-use mirza_runner::{cell_hash, parallel_map, parse_journal, Cell, Pool, JOURNAL_SCHEMA};
+use mirza_runner::{cell_hash, parse_journal, Cell, Pool, JOURNAL_SCHEMA};
 use mirza_telemetry::Json;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -185,16 +185,6 @@ fn on_complete_fires_once_per_success() {
     let mut expected: Vec<String> = cells.iter().map(|c| c.id()).collect();
     expected.sort();
     assert_eq!(ids, expected);
-}
-
-#[test]
-fn parallel_map_preserves_item_order() {
-    let items: Vec<u64> = (0..100).collect();
-    let serial: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
-    for jobs in [1, 2, 8] {
-        let mapped = parallel_map(&items, jobs, |_, &x| x * x + 1);
-        assert_eq!(mapped, serial, "jobs={jobs}");
-    }
 }
 
 // --- Journal crash tolerance (proptest) ---

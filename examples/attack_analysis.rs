@@ -4,7 +4,10 @@
 //!
 //! Run with: `cargo run --release --example attack_analysis`
 
-use mirza::attacks::rig::run_hammer;
+use mirza::attacks::rig::{run_attack, AttackReport};
+use mirza::attacks::schedule::Burst;
+use mirza::attacks::strategy::PatternStrategy;
+use mirza::attacks::victim::AnyRow;
 use mirza::core::config::MirzaConfig;
 use mirza::core::mirza::Mirza;
 use mirza::dram::geometry::Geometry;
@@ -14,9 +17,19 @@ use mirza::trackers::prac::PracMoat;
 use mirza::trackers::trr::Trr;
 use mirza::workloads::attacks::RowPattern;
 
-fn main() {
+/// Replays `rows` flat-out on bank 0 for `refs` REF intervals and judges
+/// the run on any row against `bound`.
+fn replay(m: &mut dyn Mitigator, rows: RowPattern, bound: u32, refs: u64) -> AttackReport {
     let geom = Geometry::ddr5_32gb();
     let timing = TimingParams::ddr5_6000();
+    let mut s = PatternStrategy::from_pattern("pattern", rows);
+    run_attack(
+        m, &geom, &timing, 0, &mut s, &mut Burst, &AnyRow, bound, refs,
+    )
+}
+
+fn main() {
+    let geom = Geometry::ddr5_32gb();
     let one_window = u64::from(geom.refs_per_full_walk()); // 8192 REFs = 32 ms
 
     println!("pattern            tracker      max unmitigated ACTs   bound");
@@ -29,16 +42,13 @@ fn main() {
     ] {
         let mut m = Mirza::new(cfg, &geom, 7);
         let mapping = *m.mapping().expect("MIRZA exposes its mapping");
-        let mut p = RowPattern::double_sided(&mapping, 5_000);
-        let out = run_hammer(&mut m, &geom, &timing, 0, &mut p, one_window);
+        let p = RowPattern::double_sided(&mapping, 5_000);
+        let r = replay(&mut m, p, cfg.safe_trhd(), one_window);
         println!(
             "double-sided       mirza-{:<5}  {:>8} ({} alerts)    < {}",
-            cfg.target_trhd,
-            out.max_unmitigated_acts,
-            out.alerts,
-            cfg.safe_trhd()
+            cfg.target_trhd, r.max_row_acts, r.outcome.alerts, r.bound
         );
-        assert!(out.max_unmitigated_acts < cfg.safe_trhd());
+        assert!(!r.success);
     }
 
     // The CGF-evading same-region pattern (Figure 12 kernel).
@@ -47,24 +57,21 @@ fn main() {
         let mut m = Mirza::new(cfg, &geom, 13);
         let mapping = *m.mapping().expect("mapping");
         let regions = *m.rct().expect("rct").regions();
-        let mut p = RowPattern::same_region(&mapping, &regions, 3, 8);
-        let out = run_hammer(&mut m, &geom, &timing, 0, &mut p, one_window);
+        let p = RowPattern::same_region(&mapping, &regions, 3, 8);
+        let r = replay(&mut m, p, cfg.safe_trhd(), one_window);
         println!(
             "same-region (x8)   mirza-1000   {:>8} ({} alerts)    < {}",
-            out.max_unmitigated_acts,
-            out.alerts,
-            cfg.safe_trhd()
+            r.max_row_acts, r.outcome.alerts, r.bound
         );
     }
 
     // PRAC/MOAT: tight reactive bound.
     {
         let mut p = PracMoat::for_trhd(1000, &geom);
-        let mut pat = RowPattern::single_sided(4_242);
-        let out = run_hammer(&mut p, &geom, &timing, 0, &mut pat, one_window);
+        let r = replay(&mut p, RowPattern::single_sided(4_242), 1000, one_window);
         println!(
             "single-sided       prac-moat    {:>8} ({} alerts)    ~ ATH+4",
-            out.max_unmitigated_acts, out.alerts
+            r.max_row_acts, r.outcome.alerts
         );
     }
 
@@ -78,12 +85,11 @@ fn main() {
         rows.push(20_001);
         rows.push(20_003);
         let mut t = Trr::ddr4_like(&geom);
-        let mut pat = RowPattern::circular(rows);
-        let out = run_hammer(&mut t, &geom, &timing, 0, &mut pat, 2 * one_window);
+        let r = replay(&mut t, RowPattern::circular(rows), 4800, 2 * one_window);
         println!(
             "decoy flood        trr          {:>8} -> bit flips below TRHD 4.8K ({})",
-            out.max_unmitigated_acts,
-            if out.max_unmitigated_acts > 4800 {
+            r.max_row_acts,
+            if r.max_row_acts > 4800 {
                 "BROKEN"
             } else {
                 "held"

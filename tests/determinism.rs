@@ -53,7 +53,10 @@ fn different_seeds_change_the_traffic() {
 
 #[test]
 fn attack_harness_is_deterministic() {
-    use mirza::attacks::rig::run_hammer;
+    use mirza::attacks::rig::run_attack;
+    use mirza::attacks::schedule::Burst;
+    use mirza::attacks::strategy::PatternStrategy;
+    use mirza::attacks::victim::AnyRow;
     use mirza::core::mirza::Mirza;
     use mirza::dram::geometry::Geometry;
     use mirza::dram::timing::TimingParams;
@@ -62,10 +65,15 @@ fn attack_harness_is_deterministic() {
     let geom = Geometry::ddr5_32gb();
     let timing = TimingParams::ddr5_6000();
     let run = |seed| {
-        let mut m = Mirza::new(MirzaConfig::trhd_1000(), &geom, seed);
-        let mut p = RowPattern::single_sided(1234);
-        run_hammer(&mut m, &geom, &timing, 0, &mut p, 512)
+        let cfg = MirzaConfig::trhd_1000();
+        let mut m = Mirza::new(cfg, &geom, seed);
+        let mut s = PatternStrategy::from_pattern("single-sided", RowPattern::single_sided(1234));
+        let bound = cfg.safe_trhd();
+        run_attack(
+            &mut m, &geom, &timing, 0, &mut s, &mut Burst, &AnyRow, bound, 512,
+        )
     };
-    assert_eq!(run(3), run(3));
-    assert!(run(3).total_acts > 0, "harness must actually hammer");
+    let r = run(3);
+    assert_eq!(r, run(3));
+    assert!(r.outcome.total_acts > 0, "harness must actually hammer");
 }

@@ -2,7 +2,10 @@
 //! bounds every implemented attack pattern by its Section-VI analytic
 //! threshold, while the insecure designs demonstrably fail.
 
-use mirza::attacks::rig::run_hammer;
+use mirza::attacks::rig::{run_attack, AttackReport};
+use mirza::attacks::schedule::Burst;
+use mirza::attacks::strategy::PatternStrategy;
+use mirza::attacks::victim::AnyRow;
 use mirza::core::config::MirzaConfig;
 use mirza::core::mirza::Mirza;
 use mirza::core::rct::ResetPolicy;
@@ -15,13 +18,19 @@ fn geom() -> Geometry {
     Geometry::ddr5_32gb()
 }
 
-fn timing() -> TimingParams {
-    TimingParams::ddr5_6000()
-}
-
 /// Half a refresh window is enough to reach each attack's steady state
 /// while keeping the suite fast.
 const REFS: u64 = 4096;
+
+/// Replays `pattern` flat-out for `refs` REF intervals, judged on any row
+/// against `bound`.
+fn hammer(m: &mut dyn Mitigator, pattern: RowPattern, bound: u32, refs: u64) -> AttackReport {
+    let (geom, timing) = (geom(), TimingParams::ddr5_6000());
+    let mut s = PatternStrategy::from_pattern("pattern", pattern);
+    run_attack(
+        m, &geom, &timing, 0, &mut s, &mut Burst, &AnyRow, bound, refs,
+    )
+}
 
 #[test]
 fn every_table7_config_bounds_double_sided() {
@@ -32,16 +41,10 @@ fn every_table7_config_bounds_double_sided() {
         MirzaConfig::trhd_4800(),
     ] {
         let mut m = Mirza::new(cfg, &geom(), 5);
-        let mapping = *m.mapping().unwrap();
-        let mut p = RowPattern::double_sided(&mapping, 7_777);
-        let out = run_hammer(&mut m, &geom(), &timing(), 0, &mut p, REFS);
-        assert!(
-            out.max_unmitigated_acts < cfg.safe_trhd(),
-            "TRHD {}: {} >= {}",
-            cfg.target_trhd,
-            out.max_unmitigated_acts,
-            cfg.safe_trhd()
-        );
+        let p = RowPattern::double_sided(m.mapping().unwrap(), 7_777);
+        let r = hammer(&mut m, p, cfg.safe_trhd(), REFS);
+        let trhd = cfg.target_trhd;
+        assert!(!r.success, "TRHD {trhd}: {} >= {}", r.max_row_acts, r.bound);
     }
 }
 
@@ -49,17 +52,12 @@ fn every_table7_config_bounds_double_sided() {
 fn every_table7_config_bounds_many_sided() {
     for cfg in [MirzaConfig::trhd_1000(), MirzaConfig::trhd_2000()] {
         let mut m = Mirza::new(cfg, &geom(), 9);
-        let mapping = *m.mapping().unwrap();
-        let mut p = RowPattern::many_sided(&mapping, 11, 12);
-        let out = run_hammer(&mut m, &geom(), &timing(), 0, &mut p, REFS);
+        let p = RowPattern::many_sided(m.mapping().unwrap(), 11, 12);
+        let r = hammer(&mut m, p, cfg.safe_trhd(), REFS);
         // Per-aggressor bound is the single-sided-style bound: many-sided
         // splits the budget over 24 rows, so it lands far below even TRHD.
-        assert!(
-            out.max_unmitigated_acts < cfg.safe_trhd(),
-            "TRHD {}: {}",
-            cfg.target_trhd,
-            out.max_unmitigated_acts
-        );
+        let trhd = cfg.target_trhd;
+        assert!(!r.success, "TRHD {trhd}: {}", r.max_row_acts);
     }
 }
 
@@ -69,15 +67,10 @@ fn sensitivity_configs_hold_at_trhd_1000() {
     for w in [4, 8, 12, 16] {
         let cfg = MirzaConfig::sensitivity_1000(w);
         let mut m = Mirza::new(cfg, &geom(), 31 + u64::from(w));
-        let mapping = *m.mapping().unwrap();
-        let mut p = RowPattern::double_sided(&mapping, 9_009);
-        let out = run_hammer(&mut m, &geom(), &timing(), 0, &mut p, REFS);
-        assert!(
-            out.max_unmitigated_acts < cfg.safe_trhd().max(1100),
-            "W={w}: {} vs {}",
-            out.max_unmitigated_acts,
-            cfg.safe_trhd()
-        );
+        let p = RowPattern::double_sided(m.mapping().unwrap(), 9_009);
+        let r = hammer(&mut m, p, cfg.safe_trhd().max(1100), REFS);
+        let safe = cfg.safe_trhd();
+        assert!(!r.success, "W={w}: {} vs {safe}", r.max_row_acts);
     }
 }
 

@@ -9,13 +9,6 @@ use mirza_dram::time::Ps;
 
 use crate::reservoir::Reservoir;
 
-/// Time to mitigate one aggressor (bounded refresh of its victims), used to
-/// express refresh cannibalization: 280 ns out of a 410 ns REF.
-pub const MITIGATION_NS: u64 = 280;
-
-/// REF execution time, for the cannibalization ratio.
-pub const REF_NS: u64 = 410;
-
 /// MINT sampling with mitigation every `k` REFs.
 #[derive(Debug)]
 pub struct MintRef {
@@ -46,12 +39,6 @@ impl MintRef {
             stats: MitigationStats::default(),
             log: MitigationLog::new(),
         }
-    }
-
-    /// Fraction of the refresh budget consumed by mitigation (Table II):
-    /// `280ns / (410ns * k)`.
-    pub fn refresh_cannibalization(&self) -> f64 {
-        MITIGATION_NS as f64 / (REF_NS as f64 * self.refs_per_mitigation as f64)
     }
 }
 
@@ -130,14 +117,6 @@ mod tests {
         let s = m.stats();
         assert_eq!(s.mitigations, 4);
         assert_eq!(s.ref_mitigations, 4);
-    }
-
-    #[test]
-    fn cannibalization_matches_table2() {
-        // 1 per REF -> 280/410 = 68%; 1 per 2 REF -> 34%; 1 per 8 -> 8.5%.
-        assert!((MintRef::new(1, &geom(), 0).refresh_cannibalization() - 0.683).abs() < 0.01);
-        assert!((MintRef::new(2, &geom(), 0).refresh_cannibalization() - 0.341).abs() < 0.01);
-        assert!((MintRef::new(8, &geom(), 0).refresh_cannibalization() - 0.085).abs() < 0.01);
     }
 
     #[test]

@@ -34,9 +34,10 @@ pub trait AddressStrategy {
     }
 }
 
-/// A [`RowPattern`] behind the trait: the migration path for the canned
-/// single/double/many-sided, half-double, blacksmith and same-region
-/// kernels. Feedback is ignored — the pattern is a fixed circular
+/// A [`RowPattern`] behind the trait. The named constructors build the
+/// kernels the attack matrix sweeps; [`from_pattern`](Self::from_pattern)
+/// wraps any other kernel (single-sided, half-double, a hand-built
+/// circular flood). Feedback is ignored — the pattern is a fixed circular
 /// sequence.
 #[derive(Debug, Clone)]
 pub struct PatternStrategy {
@@ -51,11 +52,6 @@ impl PatternStrategy {
             label: label.into(),
             pattern,
         }
-    }
-
-    /// Classic single-sided hammering of one row.
-    pub fn single_sided(row: u32) -> Self {
-        Self::from_pattern("single-sided", RowPattern::single_sided(row))
     }
 
     /// Double-sided attack around the victim at physical index
@@ -73,11 +69,6 @@ impl PatternStrategy {
             format!("many-sided-p{pairs}"),
             RowPattern::many_sided(mapping, subarray, pairs),
         )
-    }
-
-    /// Half-Double style far/near mix (see [`RowPattern::half_double`]).
-    pub fn half_double(mapping: &RowMapping, victim_phys: u32) -> Self {
-        Self::from_pattern("half-double", RowPattern::half_double(mapping, victim_phys))
     }
 
     /// Blacksmith-style non-uniform pattern (see [`RowPattern::blacksmith`]).

@@ -23,7 +23,9 @@ fn main() {
     scale.workloads = vec![Box::leak(workload.clone().into_boxed_str())];
     let mut lab = Lab::new(scale);
     lab.verbose = true;
-    // The three runs take hours each at paper scale; run them side by side.
+    // The three runs are independent; run them side by side. Three
+    // fotonik3d runs of 80 M instructions per core took 49 s on 2 workers
+    // of a 2-vCPU Xeon VM.
     lab.jobs = mirza_runner::default_jobs();
 
     let mirza_cfg = lab.mirza(1000);

@@ -27,28 +27,11 @@ use crate::time::Ps;
 use crate::timing::TimingParams;
 use mirza_telemetry::{names, Json, Telemetry};
 
-/// Auditor configuration.
-#[derive(Debug, Clone)]
-pub struct AuditConfig {
-    /// Reference timing the command stream is validated against.
-    pub timing: TimingParams,
-    /// REF cadence tolerance, in tREFI past the nominal due time, before a
-    /// `tREFI` violation is flagged. DDR5 permits 4 postponed REFs; the
-    /// default adds slack for ALERT/RFM stalls the controller legitimately
-    /// absorbs before repaying refresh debt.
-    pub max_late_refis: u64,
-}
-
-impl AuditConfig {
-    /// Reference = the given timing, cadence tolerance = 4 postponed REFs
-    /// plus 2 tREFI of stall slack.
-    pub fn new(timing: TimingParams) -> Self {
-        AuditConfig {
-            timing,
-            max_late_refis: 6,
-        }
-    }
-}
+/// REF cadence tolerance, in tREFI past the nominal due time, before a
+/// `tREFI` violation is flagged: DDR5's 4 postponed REFs plus 2 tREFI of
+/// slack for ALERT/RFM stalls the controller legitimately absorbs before
+/// repaying refresh debt.
+const MAX_LATE_REFIS: u64 = 6;
 
 /// One detected protocol violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -200,7 +183,6 @@ impl RowCensus {
 #[derive(Debug)]
 pub struct CommandAuditor {
     t: TimingParams,
-    max_late_refis: u64,
     banks: Vec<ShadowBank>,
     /// Last up-to-four ACT instants per rank (tRRD is `back()`, tFAW is
     /// `front()` once full).
@@ -226,14 +208,8 @@ impl CommandAuditor {
     /// An auditor validating against `reference` timing for a sub-channel
     /// of the given geometry.
     pub fn new(reference: TimingParams, geom: &Geometry) -> Self {
-        Self::with_config(AuditConfig::new(reference), geom)
-    }
-
-    /// An auditor with an explicit configuration.
-    pub fn with_config(cfg: AuditConfig, geom: &Geometry) -> Self {
         CommandAuditor {
-            t: cfg.timing,
-            max_late_refis: cfg.max_late_refis,
+            t: reference,
             banks: vec![ShadowBank::default(); geom.banks_per_subchannel() as usize],
             rank_acts: vec![VecDeque::with_capacity(4); geom.ranks as usize],
             last_cmd_at: 0,
@@ -471,13 +447,13 @@ impl CommandAuditor {
     }
 
     /// tREFI cadence: flags (once per lapse) when the stream runs more
-    /// than `max_late_refis` tREFI past the next nominal REF due time.
+    /// than [`MAX_LATE_REFIS`] tREFI past the next nominal REF due time.
     fn check_ref_cadence(&mut self, now: u64) -> Option<(&'static str, u64)> {
         if self.refresh_late_flagged {
             return None;
         }
         let refi = self.t.t_refi.as_ps();
-        let deadline = (self.refs_seen + 1 + self.max_late_refis) * refi;
+        let deadline = (self.refs_seen + 1 + MAX_LATE_REFIS) * refi;
         if now > deadline {
             self.refresh_late_flagged = true;
             return Some(("tREFI", deadline));

@@ -33,7 +33,6 @@ pub mod audit;
 pub mod bank;
 pub mod command;
 pub mod device;
-pub mod energy;
 pub mod geometry;
 pub mod mitigation;
 pub mod refresh;
@@ -44,10 +43,9 @@ pub mod timing;
 /// Convenient re-exports of the types nearly every consumer needs.
 pub mod prelude {
     pub use crate::address::{BankId, DramAddr, MappingScheme, RegionMap, RowMapping};
-    pub use crate::audit::{AuditConfig, CommandAuditor, Violation};
+    pub use crate::audit::{CommandAuditor, Violation};
     pub use crate::command::Command;
     pub use crate::device::{Issued, Subchannel};
-    pub use crate::energy::EnergyModel;
     pub use crate::geometry::Geometry;
     pub use crate::mitigation::{MitigationStats, Mitigator, NullMitigator, RefreshSlice};
     pub use crate::refresh::RefreshPointer;

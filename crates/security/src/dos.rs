@@ -7,10 +7,6 @@
 
 use mirza_dram::timing::TimingParams;
 
-/// Benign ACT throughput baseline: one ACT every 3 ns (tFAW-limited stripe
-/// over 16 banks, Section IX-A).
-pub const BENIGN_NS_PER_ACT: f64 = 3.0;
-
 /// Productive prologue nanoseconds for the benign app per ALERT
 /// (`180 - tRC`).
 pub fn productive_prologue_ns(t: &TimingParams) -> f64 {

@@ -12,7 +12,6 @@ use mirza_dram::timing::TimingParams;
 use mirza_frontend::core::CoreParams;
 use mirza_memctrl::controller::McConfig;
 use mirza_telemetry::Json;
-use mirza_trackers::mint_ref::MintRef;
 use mirza_trackers::mint_rfm::MintRfm;
 use mirza_trackers::mithril::Mithril;
 use mirza_trackers::para::Para;
@@ -43,11 +42,6 @@ pub enum MitigationConfig {
     MintRfm {
         /// Bank activation threshold (24/48/96 for TRHD 500/1K/2K).
         bat: u32,
-    },
-    /// MINT mitigating under REF every `refs_per_mit` REFs (Table XII).
-    MintRef {
-        /// REFs between mitigations.
-        refs_per_mit: u64,
     },
     /// PRAC + ABO with MOAT policy; runs with the inflated PRAC timings.
     PracAbo {
@@ -101,9 +95,6 @@ impl MitigationConfig {
                 format!("naive-w{mint_w}-q{queue}")
             }
             MitigationConfig::MintRfm { bat } => format!("mint-rfm-bat{bat}"),
-            MitigationConfig::MintRef { refs_per_mit } => {
-                format!("mint-ref-{refs_per_mit}")
-            }
             MitigationConfig::PracAbo { trhd } => format!("prac-trhd{trhd}"),
             MitigationConfig::Mithril {
                 entries,
@@ -145,9 +136,6 @@ impl MitigationConfig {
                 Box::new(Mirza::naive(mint_w, queue, geom, seed))
             }
             MitigationConfig::MintRfm { .. } => Box::new(MintRfm::new(geom, seed)),
-            MitigationConfig::MintRef { refs_per_mit } => {
-                Box::new(MintRef::new(refs_per_mit, geom, seed))
-            }
             MitigationConfig::PracAbo { trhd } => Box::new(PracMoat::for_trhd(trhd, geom)),
             MitigationConfig::Mithril {
                 entries,
@@ -360,7 +348,6 @@ mod tests {
                 "mirza-naive",
             ),
             (MitigationConfig::MintRfm { bat: 48 }, "mint-rfm"),
-            (MitigationConfig::MintRef { refs_per_mit: 4 }, "mint-ref"),
             (MitigationConfig::PracAbo { trhd: 1000 }, "prac-moat"),
             (
                 MitigationConfig::Mithril {

@@ -1,7 +1,7 @@
 //! Epoch time-series sampling with a bounded-memory coalescing reservoir.
 //!
 //! A [`EpochSampler`] snapshots every registered counter and gauge at fixed
-//! simulated-time boundaries (default 1 µs) and stores *per-epoch deltas*
+//! simulated-time boundaries (every `epoch_ps`) and stores *per-epoch deltas*
 //! for counters and point samples for gauges. Memory is bounded: when the
 //! reservoir reaches its capacity, adjacent epochs are merged pairwise
 //! (counter deltas summed, the later gauge sample kept) and the effective
@@ -17,9 +17,6 @@
 use crate::json::Json;
 use crate::registry::Registry;
 use std::collections::BTreeMap;
-
-/// Default epoch length: 1 simulated microsecond.
-pub const DEFAULT_EPOCH_PS: u64 = 1_000_000;
 
 /// Default reservoir capacity (epochs retained before coalescing).
 pub const DEFAULT_CAPACITY: usize = 4096;

@@ -130,17 +130,6 @@ impl Histogram {
         self.max as f64
     }
 
-    /// Merges `other` into `self` (used to aggregate sub-channels).
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// A compact summary (for manifests and log lines).
     pub fn summary(&self) -> Summary {
         Summary {
@@ -248,23 +237,6 @@ mod tests {
         assert!((512.0..=1000.0).contains(&p90), "p90={p90}");
         assert!((512.0..=1000.0).contains(&p99), "p99={p99}");
         assert_eq!(h.percentile(1.0), 1000.0);
-    }
-
-    #[test]
-    fn merge_is_the_sum_of_parts() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        for v in [1, 2, 3] {
-            a.record(v);
-        }
-        for v in [100, 200] {
-            b.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 5);
-        assert_eq!(a.sum(), 306);
-        assert_eq!(a.min(), 1);
-        assert_eq!(a.max(), 200);
     }
 
     #[test]

@@ -67,7 +67,8 @@
 //!
 //! Exit codes mirror `SimError`: 0 success, 1 usage/comparison failure,
 //! 2 unknown workload, 3 trace parse, 4 config, 5 I/O, 6 watchdog,
-//! 7 cell panic / degraded parallel campaign.
+//! 7 cell panic / degraded parallel campaign. A reader that closes stdout
+//! early (`repro --list | head -1`) ends the run quietly with 0.
 
 use std::process::ExitCode;
 
@@ -174,19 +175,36 @@ fn fail(err: &SimError) -> ExitCode {
     ExitCode::from(err.exit_code())
 }
 
+/// Writes `text` and a newline to stdout: every stdout write of `repro`
+/// goes through here. A reader that went away early (`repro --list |
+/// head -1`) ends the process quietly with exit 0; any other write error
+/// is an I/O failure (exit 5).
+fn emit(text: &str) {
+    use std::io::Write as _;
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = writeln!(out, "{text}").and_then(|()| out.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        let err = SimError::io("stdout", &e);
+        eprintln!("error: {err}");
+        std::process::exit(i32::from(err.exit_code()));
+    }
+}
+
 /// Replays a plain-text trace file on every core at the selected scale.
 fn replay_trace(path: &std::path::Path, scale: Scale, watchdog: Option<u64>) -> ExitCode {
     let mut cfg = scale.sim_config(MitigationConfig::None);
     cfg.watchdog_wall = watchdog.map(std::time::Duration::from_secs);
     match run_tracefile(&cfg, path, Telemetry::disabled()) {
         Ok(report) => {
-            println!(
+            emit(&format!(
                 "replayed {}: {} instructions, mpki {:.2}, {} ACTs",
                 path.display(),
                 report.instructions,
                 report.mpki(),
                 report.device.acts
-            );
+            ));
             ExitCode::SUCCESS
         }
         Err(e) => fail(&e),
@@ -274,7 +292,7 @@ fn attack_matrix_cmd(
         eprintln!("error: cannot write {}: {e}", events_path.display());
         return ExitCode::FAILURE;
     }
-    println!("{}", result.summary());
+    emit(&result.summary());
     if verbose {
         eprintln!(
             "wrote {} ({} cells) and {}",
@@ -348,7 +366,7 @@ fn attribution_cmd(
             return ExitCode::FAILURE;
         }
     }
-    println!("{}", result.summary());
+    emit(&result.summary());
     if verbose {
         eprintln!("wrote {} ({} rows)", csv_path.display(), result.rows.len());
     }
@@ -382,9 +400,9 @@ fn list_experiments() -> ExitCode {
         ("extensions (run by `ablations`)", EXTENSION_EXPERIMENTS),
         ("report (standalone)", REPORT_EXPERIMENTS),
     ] {
-        println!("{category}:");
+        emit(&format!("{category}:"));
         for name in names {
-            println!("  {name}");
+            emit(&format!("  {name}"));
         }
     }
     ExitCode::SUCCESS
@@ -563,9 +581,7 @@ fn main() -> ExitCode {
     for name in names {
         lab.begin_experiment(name);
         match run_experiment(name, &mut lab) {
-            Some(table) => {
-                println!("{table}");
-            }
+            Some(table) => emit(&table),
             None => return usage(),
         }
     }

@@ -111,3 +111,21 @@ fn csv_to_stdout_has_one_header_and_one_row_per_run() {
     assert_eq!(csv.len(), 1 + runs, "stdout:\n{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A reader that goes away early (`repro --list | head -1`) ends the run
+/// quietly with exit 0, instead of a panic on the closed pipe.
+#[cfg(unix)]
+#[test]
+fn a_closed_stdout_ends_quietly() {
+    let (reader, writer) = std::io::pipe().expect("create pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--list")
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("run repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "stderr:\n{stderr}");
+}

@@ -210,14 +210,7 @@ impl MitigatorKind {
                 let trhd = ((1_000 / scale.shrink) as u32).max(16);
                 (MitigationConfig::PracAbo { trhd }, trhd)
             }
-            MitigatorKind::Mithril => {
-                let entries = (2_048 / scale.shrink as usize).max(64);
-                let config = MitigationConfig::Mithril {
-                    entries,
-                    refs_per_mit: 1,
-                };
-                (config, scaled_trh)
-            }
+            MitigatorKind::Mithril => (scale.mithril(), scaled_trh),
             MitigatorKind::Trr => (MitigationConfig::Trr, scaled_trh),
         };
         (config.build(geom, trial_seed), bound)

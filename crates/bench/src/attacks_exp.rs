@@ -205,7 +205,7 @@ pub fn dos_sim(lab: &mut Lab) -> String {
     let benign = SimConfig::CORES - 1;
     let attacker = Attacker::figure12(&lab.scale().geometry());
     for w in [8u32, 12, 16] {
-        let mirza = lab.mirza_sensitivity(w);
+        let mirza = lab.mirza_with(MirzaConfig::sensitivity_1000(w));
         let attacked = lab.run_on(mirza, "lbm", benign, Some(attacker.clone()));
         let solo = lab.run_on(mirza, "lbm", benign, None);
         let slowdown = 1.0 / (attacked.weighted_speedup(&solo) / solo.core_ipc.len() as f64);

@@ -35,16 +35,11 @@ pub const WORKLOADS: &[&str] = &["lbm", "fotonik3d", "mcf", "bc"];
 /// first, then the four Table-4 mechanisms (MIRZA, PRAC+ABO, Mithril,
 /// TRR).
 pub fn roster(lab: &Lab) -> Vec<MitigationConfig> {
-    // Same table scaling as the attack matrix: 2K entries at full scale.
-    let entries = (2_048 / lab.scale().shrink as usize).max(64);
     vec![
         MitigationConfig::None,
         lab.mirza(1000),
         MitigationConfig::PracAbo { trhd: 1000 },
-        MitigationConfig::Mithril {
-            entries,
-            refs_per_mit: 1,
-        },
+        lab.scale().mithril(),
         MitigationConfig::Trr,
     ]
 }

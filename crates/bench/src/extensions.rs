@@ -5,18 +5,10 @@
 use std::fmt::Write as _;
 
 use mirza_core::config::MirzaConfig;
-use mirza_core::rct::ResetPolicy;
 use mirza_dram::address::MappingScheme;
 use mirza_sim::config::MitigationConfig;
 
 use crate::lab::Lab;
-
-fn mirza_with(lab: &Lab, cfg: MirzaConfig) -> MitigationConfig {
-    MitigationConfig::Mirza {
-        cfg: lab.scale().mirza_config(cfg),
-        policy: ResetPolicy::Safe,
-    }
-}
 
 /// Ablation: strided vs sequential R2SA mapping for the full MIRZA stack
 /// (slowdown, escape rate and ALERT rate — Table VI only reports
@@ -30,13 +22,10 @@ pub fn ablation_mapping(lab: &mut Lab) -> String {
         ("strided", MappingScheme::Strided),
         ("sequential", MappingScheme::Sequential),
     ] {
-        let cfg = mirza_with(
-            lab,
-            MirzaConfig {
-                mapping,
-                ..MirzaConfig::trhd_1000()
-            },
-        );
+        let cfg = lab.mirza_with(MirzaConfig {
+            mapping,
+            ..MirzaConfig::trhd_1000()
+        });
         let slow = lab.avg_slowdown(cfg);
         let (mut cand, mut acts, mut alerts) = (0u64, 0u64, 0.0f64);
         let ws = lab.workloads();
@@ -69,7 +58,7 @@ pub fn ablation_qth(lab: &mut Lab) -> String {
             ..MirzaConfig::trhd_1000()
         };
         let bound = base.safe_trhd();
-        let cfg = mirza_with(lab, base);
+        let cfg = lab.mirza_with(base);
         let slow = lab.avg_slowdown(cfg);
         let mut alerts = 0.0;
         let ws = lab.workloads();
@@ -93,13 +82,10 @@ pub fn ablation_queue(lab: &mut Lab) -> String {
          entries   slowdown   alerts/100 tREFI\n",
     );
     for q in [1usize, 2, 4, 8] {
-        let cfg = mirza_with(
-            lab,
-            MirzaConfig {
-                queue_capacity: q,
-                ..MirzaConfig::trhd_1000()
-            },
-        );
+        let cfg = lab.mirza_with(MirzaConfig {
+            queue_capacity: q,
+            ..MirzaConfig::trhd_1000()
+        });
         let slow = lab.avg_slowdown(cfg);
         let mut alerts = 0.0;
         let ws = lab.workloads();
@@ -128,7 +114,7 @@ pub fn ablation_regions(lab: &mut Lab) -> String {
             ..MirzaConfig::trhd_1000()
         };
         let sram = base.sram_bytes_per_bank();
-        let cfg = mirza_with(lab, base);
+        let cfg = lab.mirza_with(base);
         let slow = lab.avg_slowdown(cfg);
         let (mut cand, mut acts) = (0u64, 0u64);
         for w in lab.workloads() {

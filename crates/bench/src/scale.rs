@@ -98,6 +98,16 @@ impl Scale {
         cfg
     }
 
+    /// Mithril with a 2K-entry table per bank at full scale, divided like
+    /// every other per-window quantity (at least 64 entries), mitigating
+    /// on every REF: the attack matrix's and the attribution sweep's.
+    pub(crate) fn mithril(&self) -> MitigationConfig {
+        MitigationConfig::Mithril {
+            entries: (2_048 / self.shrink as usize).max(64),
+            refs_per_mit: 1,
+        }
+    }
+
     /// Builds the simulation configuration for a mitigation at this scale.
     pub fn sim_config(&self, mitigation: MitigationConfig) -> SimConfig {
         let mut cfg = SimConfig::new(mitigation, self.instructions);

@@ -1,4 +1,5 @@
-//! Device-level activity counters used for performance and energy metrics.
+//! Device-level activity counters used for performance and refresh-power
+//! metrics.
 
 use crate::mitigation::MitigationStats;
 

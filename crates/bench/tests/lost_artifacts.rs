@@ -1,6 +1,7 @@
-//! `repro` must say when an artifact cannot be written, and must not read
-//! from an output path that is not a regular file. `/dev/full` stands in
-//! for a full disk: it accepts every open and fails every write.
+//! `repro` must say when an artifact cannot be written, must not read from
+//! an output path that is not a regular file, and must not lose the
+//! manifest of a run its watchdog aborts. `/dev/full` stands in for a full
+//! disk: it accepts every open and fails every write.
 
 use std::io::Read as _;
 use std::path::{Path, PathBuf};
@@ -9,6 +10,7 @@ use std::time::{Duration, Instant};
 
 use mirza_bench::scale::Scale;
 use mirza_sim::report::SimReport;
+use mirza_telemetry::Json;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("mirza-lost-{}-{tag}", std::process::id()));
@@ -85,6 +87,28 @@ fn lab_warns_when_a_chrome_trace_is_lost() {
         stderr.contains("warning: cannot write chrome trace tr/t_baseline-lbm.json"),
         "stderr:\n{stderr}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A run that outlasts `--watchdog` ends the process with the watchdog's
+/// exit code, and the runs recorded so far still reach the manifest: one
+/// paper-scale Table-IV cell far outlasts a one-second budget.
+#[test]
+fn a_watchdog_abort_exits_6_and_keeps_the_partial_manifest() {
+    let dir = temp_dir("watchdog");
+    let (status, _, stderr) = repro(
+        &dir,
+        "table4 --full --quiet --jobs 1 --watchdog 1 --json m.json",
+    );
+    assert_eq!(status.code(), Some(6), "stderr:\n{stderr}");
+    assert!(stderr.contains("watchdog abort"), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("wrote partial manifest to m.json"),
+        "stderr:\n{stderr}"
+    );
+    let manifest = std::fs::read_to_string(dir.join("m.json")).expect("partial manifest written");
+    let doc = Json::parse(&manifest).expect("partial manifest parses");
+    assert!(doc.get("experiments").is_some(), "{manifest}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

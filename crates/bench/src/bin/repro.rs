@@ -3,16 +3,15 @@
 //! ```text
 //! repro <experiment|all|PATH.trace> [--smoke|--fast|--full] [--seed N]
 //!       [--jobs N] [--resume] [--csv FILE] [--json FILE] [--epochs NS]
-//!       [--epoch-dir DIR] [--audit] [--strict-audit]
-//!       [--compare BASELINE.json] [--faults PLAN] [--watchdog SECS]
-//!       [--trace-chrome FILE] [--out FILE] [--list]
-//!       [--quiet]
+//!       [--epoch-dir DIR] [--strict-audit] [--compare BASELINE.json]
+//!       [--faults PLAN] [--watchdog SECS] [--trace-chrome FILE]
+//!       [--out FILE] [--list] [--quiet]
 //!
 //! experiments:
 //!   table1 table2 table3 table4 table5 table6 table7 table8 table9
 //!   table10 table11 table12 table13
 //!   fig3 fig6 fig9 fig11a fig11b fig13 fig14
-//!   security dos-sim attack-matrix attribution watchdog-demo report
+//!   security dos-sim attack-matrix attribution report
 //! ```
 //!
 //! `--fast` (default) runs the self-consistent 1/32-scaled setup; `--full`
@@ -21,9 +20,9 @@
 //!
 //! Probe flags: `--epochs NS` samples registered metrics every NS simulated
 //! nanoseconds into per-run JSONL streams (`--epoch-dir`, default
-//! `epochs/`); `--audit` attaches the independent DDR5 protocol auditor
-//! (`--strict-audit` additionally fails the run on any violation);
-//! `--compare BASELINE.json` re-runs the named experiments and exits
+//! `epochs/`); `--strict-audit` attaches the independent DDR5 protocol
+//! auditor and fails the run on any violation; `--compare BASELINE.json`
+//! re-runs the named experiments and exits
 //! nonzero if the deterministic manifest sections diverge from the
 //! baseline.
 //!
@@ -32,13 +31,12 @@
 //! and nothing runs.
 //!
 //! Robustness flags: `--faults PLAN` injects a canned fault plan
-//! (`rct-seu`, `abo-drop`, `queue-loss`, `refresh-skip`, `trace-corrupt`,
-//! each tunable as `name:key=value,...`) into every simulation and adds a
-//! fault summary plus security verdict to each manifest run record;
-//! `--watchdog SECS` arms a wall-clock forward-progress watchdog per run.
-//! A target ending in `.trace` (or containing `/`) replays that trace
-//! file on every core instead of a named experiment; `watchdog-demo`
-//! deliberately stalls to demonstrate the watchdog abort path.
+//! (`rct-seu`, `abo-drop`, `queue-loss`, each tunable as
+//! `name:key=value,...`) into every simulation and adds a fault summary
+//! plus security verdict to each manifest run record; `--watchdog SECS`
+//! arms a wall-clock forward-progress watchdog per run. A target ending in
+//! `.trace` (or containing `/`) replays that trace file on every core
+//! instead of a named experiment.
 //!
 //! Observability flags: `--trace-chrome FILE` attaches the request-
 //! lifecycle span layer to every simulated run and writes one Chrome
@@ -84,7 +82,7 @@ use mirza_bench::report;
 use mirza_bench::scale::Scale;
 use mirza_sim::config::MitigationConfig;
 use mirza_sim::faults::{FaultPlan, CANNED_PLANS};
-use mirza_sim::runner::{run_stalled, run_tracefile};
+use mirza_sim::runner::run_tracefile;
 use mirza_sim::SimError;
 use mirza_telemetry::{EventSink, Json, Telemetry};
 
@@ -151,11 +149,11 @@ fn run_experiment(name: &str, lab: &mut Lab) -> Option<String> {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: repro <experiment|all|ablations|PATH.trace> [--smoke|--fast|--full] \
-         [--seed N] [--csv FILE] [--json FILE] [--epochs NS] [--epoch-dir DIR] [--audit] \
+         [--seed N] [--csv FILE] [--json FILE] [--epochs NS] [--epoch-dir DIR] \
          [--strict-audit] [--compare BASELINE.json] [--faults PLAN] [--watchdog SECS] \
          [--trace-chrome FILE] [--out FILE] [--jobs N] [--resume] \
          [--list] [--quiet]\n\
-         experiments: {} {} {} {} {} {} watchdog-demo\n\
+         experiments: {} {} {} {} {} {}\n\
          fault plans: {} (tunable as name:key=value,...)",
         ANALYTIC_EXPERIMENTS.join(" "),
         SIM_EXPERIMENTS.join(" "),
@@ -206,23 +204,6 @@ fn replay_trace(path: &std::path::Path, scale: Scale, watchdog: Option<u64>) -> 
                 report.device.acts
             ));
             ExitCode::SUCCESS
-        }
-        Err(e) => fail(&e),
-    }
-}
-
-/// Deliberately stalls a run so the idle watchdog fires; demonstrates the
-/// abort path end to end (flushed telemetry, structured message, exit 6).
-fn watchdog_demo(scale: Scale) -> ExitCode {
-    let mut cfg = scale.sim_config(MitigationConfig::None);
-    cfg.cores = 1;
-    // Keep the demo fast: the stalled loop burns one pass per quantum.
-    cfg.watchdog_idle_quanta = 50_000;
-    eprintln!("stalling a run on purpose; expecting a watchdog abort ...");
-    match run_stalled(&cfg, "lbm", Telemetry::disabled()) {
-        Ok(_) => {
-            eprintln!("error: stalled run unexpectedly completed");
-            ExitCode::FAILURE
         }
         Err(e) => fail(&e),
     }
@@ -417,7 +398,6 @@ fn main() -> ExitCode {
     let mut json: Option<std::path::PathBuf> = None;
     let mut epochs_ns: Option<u64> = None;
     let mut epoch_dir: Option<std::path::PathBuf> = None;
-    let mut audit = false;
     let mut strict_audit = false;
     let mut compare: Option<std::path::PathBuf> = None;
     let mut faults: Option<String> = None;
@@ -455,11 +435,7 @@ fn main() -> ExitCode {
             "--full" => scale = Scale::full(),
             "--quiet" => verbose = false,
             "--list" => return list_experiments(),
-            "--audit" => audit = true,
-            "--strict-audit" => {
-                audit = true;
-                strict_audit = true;
-            }
+            "--strict-audit" => strict_audit = true,
             "--seed" => match it.next().and_then(|s| s.parse().ok()) {
                 Some(s) => scale.seed = s,
                 None => return usage(),
@@ -508,10 +484,9 @@ fn main() -> ExitCode {
         "attack-matrix" => "--csv --json --resume",
         "attribution" => "--csv --json --trace-chrome",
         "report" => "--out",
-        "watchdog-demo" => "",
         _ => {
-            "--csv --json --epochs --epoch-dir --audit --strict-audit --compare --faults \
-              --watchdog --trace-chrome"
+            "--csv --json --epochs --epoch-dir --strict-audit --compare --faults --watchdog \
+             --trace-chrome"
         }
     };
     let listed = |list: &str, flag: &str| list.split(' ').any(|f| f == flag);
@@ -533,9 +508,6 @@ fn main() -> ExitCode {
     if replay {
         return replay_trace(std::path::Path::new(&target), scale, watchdog);
     }
-    if target == "watchdog-demo" {
-        return watchdog_demo(scale);
-    }
     if target == "attack-matrix" {
         return attack_matrix_cmd(scale, csv, json, jobs, resume, verbose);
     }
@@ -556,7 +528,7 @@ fn main() -> ExitCode {
     if let Some(dir) = epoch_dir {
         lab.epoch_dir = dir;
     }
-    lab.audit = audit;
+    lab.audit = strict_audit;
     lab.trace_chrome = trace_chrome;
     if verbose {
         // One status line roughly every 10 M retired instructions keeps

@@ -37,13 +37,7 @@ fn gate_flags_are_usage_errors_on_targets_without_a_manifest() {
     let dir = std::env::temp_dir().join(format!("mirza-gate-flags-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    for target in [
-        "attack-matrix",
-        "attribution",
-        "report",
-        "watchdog-demo",
-        "replay.trace",
-    ] {
+    for target in ["attack-matrix", "attribution", "report", "replay.trace"] {
         assert_refused(
             &dir,
             &format!("{target} --compare baseline.json"),
@@ -67,8 +61,8 @@ fn gate_flags_are_usage_errors_on_targets_without_a_manifest() {
             &["--trace-chrome", "--epochs", "--epoch-dir"],
         ),
         (
-            "attribution --csv a.csv --audit --faults rct-seu --epochs 1000 --epoch-dir E2",
-            &["--audit", "--faults", "--epochs", "--epoch-dir"],
+            "attribution --csv a.csv --strict-audit --faults rct-seu --epochs 1000 --epoch-dir E2",
+            &["--strict-audit", "--faults", "--epochs", "--epoch-dir"],
         ),
     ] {
         assert_refused(&dir, command, refused);
@@ -98,7 +92,7 @@ fn dos_sim_honours_the_lab_flags() {
     let dir = std::env::temp_dir().join(format!("mirza-dos-sim-flags-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let command = "dos-sim --smoke --quiet --jobs 2 --json d.json --csv d.csv --audit \
+    let command = "dos-sim --smoke --quiet --jobs 2 --json d.json --csv d.csv --strict-audit \
                    --faults rct-seu --epochs 1000 --epoch-dir E";
     let out = repro(&dir, &command.split_whitespace().collect::<Vec<_>>());
     let stderr = String::from_utf8_lossy(&out.stderr);

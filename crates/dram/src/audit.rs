@@ -68,7 +68,7 @@ struct ShadowBank {
 ///
 /// The census keeps its *own* shadow refresh-pointer position, derived
 /// only from observed REF commands, so it stays independent of the
-/// device's pointer (which fault injection may corrupt). When used by the
+/// device's pointer. When used by the
 /// [`CommandAuditor`] it deliberately does not credit targeted victim
 /// refreshes performed by the mitigation engine, making the reported
 /// maximum a conservative upper bound; attack harnesses that model the
@@ -137,12 +137,6 @@ impl RowCensus {
             self.counts[base..base + span].fill(0);
         }
         self.step += 1;
-    }
-
-    /// Skips `steps` refresh-pointer steps (mirrors a refresh-skip fault:
-    /// the skipped rows keep accumulating, as they would in DRAM).
-    pub fn skip(&mut self, steps: u32) {
-        self.step += u64::from(steps);
     }
 
     /// Credits a mitigation of aggressor row address `row` in `bank`: its
@@ -250,14 +244,6 @@ impl CommandAuditor {
     /// (0 when row tracking is disabled).
     pub fn max_row_acts(&self) -> u32 {
         self.census.as_ref().map_or(0, RowCensus::max_seen)
-    }
-
-    /// Mirrors a refresh-pointer skip fault into the census' shadow
-    /// pointer (the skipped rows keep accumulating, as they do in DRAM).
-    pub fn skip_refresh_steps(&mut self, steps: u32) {
-        if let Some(c) = &mut self.census {
-            c.skip(steps);
-        }
     }
 
     /// Total violations detected.

@@ -277,17 +277,6 @@ impl Subchannel {
         self.mitigator.inject_fault(fault, now)
     }
 
-    /// Fault-injection hook: jumps the refresh pointer forward by `steps`
-    /// REF slots without refreshing the skipped rows. The auditor's row
-    /// census (if any) mirrors the skip so its exposure accounting stays
-    /// honest.
-    pub fn skip_refresh_steps(&mut self, steps: u32) {
-        self.ref_ptr.skip(steps);
-        if let Some(a) = &mut self.audit {
-            a.skip_refresh_steps(steps);
-        }
-    }
-
     fn flat(&self, bank: BankId) -> usize {
         bank.flat_in_subchannel(&self.geom)
     }

@@ -71,13 +71,6 @@ impl RefreshPointer {
         self.step += 1;
         slice
     }
-
-    /// Jumps the pointer forward by `steps` positions without refreshing
-    /// anything — a fault-injection hook modeling a corrupted RefPtr. The
-    /// skipped rows simply miss this walk's refresh.
-    pub fn skip(&mut self, steps: u32) {
-        self.step += u64::from(steps);
-    }
 }
 
 #[cfg(test)]

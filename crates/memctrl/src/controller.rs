@@ -19,10 +19,6 @@ pub struct McConfig {
     /// Proactive RFM: issue an RFM once any bank accumulates this many ACTs
     /// (`None` disables proactive RFM).
     pub rfm_bat: Option<u32>,
-    /// Refresh postponement budget: demand traffic may run up to this many
-    /// tREFI past a due REF before refresh preempts it (DDR5 permits up to
-    /// 4 postponed REFs; 0 = strict on-time refresh).
-    pub postpone_refs: u32,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -303,13 +299,6 @@ impl MemController {
         self.device.mask_alert_until(until);
     }
 
-    /// Fault-injection hook: jumps the device's refresh pointer forward by
-    /// `steps` REF slots without refreshing the skipped rows.
-    pub fn skip_refresh_steps(&mut self, steps: u32) {
-        self.cached_next = None;
-        self.device.skip_refresh_steps(steps);
-    }
-
     /// Scheduling statistics.
     pub fn stats(&self) -> &McStats {
         &self.stats
@@ -553,16 +542,13 @@ impl MemController {
                 return Some((Command::Rfm { alert: false }, e.max(self.now)));
             }
         }
-        // 3. Demand traffic until refresh is due (plus any postponement
-        // budget). Postponed REFs are repaid back-to-back afterwards.
-        let ref_deadline =
-            self.device.next_ref_due().max(self.now) + t.t_refi * u64::from(self.cfg.postpone_refs);
+        // 3. Demand traffic until refresh is due.
+        let ref_at = self.device.next_ref_due().max(self.now);
         if let Some((cmd, at)) = self.best_demand() {
-            if at < ref_deadline {
+            if at < ref_at {
                 return Some((cmd, at));
             }
         }
-        let ref_at = self.device.next_ref_due().max(self.now);
         // 4. Refresh path: precharge everything, then REF on time.
         if self.device.all_precharged() {
             let e = self.device.earliest(&Command::Ref).expect("precharged");
@@ -935,49 +921,8 @@ mod tests {
     }
 
     #[test]
-    fn postponed_refresh_yields_to_demand_then_repays() {
-        let strict = {
-            let mut mc = mc(McConfig::default());
-            for i in 0..64 {
-                mc.enqueue(read(i, (i % 8) as u32, i as u32 * 3, 0, 3800));
-            }
-            let mut out = Vec::new();
-            mc.run_until(Ps::from_us(20), &mut out);
-            assert_eq!(out.len(), 64);
-            (
-                out.iter().map(|c| c.done_at).max().unwrap(),
-                mc.device().stats().refs,
-            )
-        };
-        let relaxed = {
-            let mut mc = mc(McConfig {
-                postpone_refs: 4,
-                ..McConfig::default()
-            });
-            for i in 0..64 {
-                mc.enqueue(read(i, (i % 8) as u32, i as u32 * 3, 0, 3800));
-            }
-            let mut out = Vec::new();
-            mc.run_until(Ps::from_us(20), &mut out);
-            assert_eq!(out.len(), 64);
-            (
-                out.iter().map(|c| c.done_at).max().unwrap(),
-                mc.device().stats().refs,
-            )
-        };
-        // The burst lands right at the first REF due time (3.9 us): with
-        // postponement the batch finishes no later, and the REF debt is
-        // repaid by the horizon (same REF count over the window).
-        assert!(relaxed.0 <= strict.0, "postponement must not slow demand");
-        assert_eq!(relaxed.1, strict.1, "refresh debt fully repaid");
-    }
-
-    #[test]
     fn proactive_rfm_fires_at_bat() {
-        let mut mc = mc(McConfig {
-            rfm_bat: Some(4),
-            ..McConfig::default()
-        });
+        let mut mc = mc(McConfig { rfm_bat: Some(4) });
         // 8 conflicting reads to one bank -> 8 ACTs -> 2 RFMs.
         for i in 0..8 {
             mc.enqueue(read(i, 0, i as u32 * 7, 0, 0));
@@ -1059,13 +1004,11 @@ mod tests {
         /// `best_demand` checks each one against `reference_demand` in
         /// test builds. Requests arrive between `run_until` windows of
         /// random width, on one or two ranks (two ranks exercise the
-        /// per-rank ACT floor), with and without proactive RFM and refresh
-        /// postponement.
+        /// per-rank ACT floor), with and without proactive RFM.
         #[test]
         fn cached_picks_match_the_full_fold(
             ranks in 1u32..3,
             bat in prop::option::of(2u32..12),
-            postpone_refs in 0u32..5,
             windows in proptest::collection::vec(
                 (
                     0u64..60_000,
@@ -1077,7 +1020,7 @@ mod tests {
                 1..120,
             ),
         ) {
-            let cfg = McConfig { rfm_bat: bat, postpone_refs };
+            let cfg = McConfig { rfm_bat: bat };
             let mut mc = mc_ranks(cfg, ranks);
             let mut t = Ps::ZERO;
             let mut id = 0;

@@ -22,14 +22,7 @@ fn controller(bat: Option<u32>) -> MemController {
         RowMapping::for_geometry(MappingScheme::Strided, &geom),
         Box::new(NullMitigator::new()),
     );
-    MemController::new(
-        device,
-        McConfig {
-            rfm_bat: bat,
-            ..McConfig::default()
-        },
-        0,
-    )
+    MemController::new(device, McConfig { rfm_bat: bat }, 0)
 }
 
 proptest! {

@@ -3,8 +3,7 @@
 //! width, so that arrivals land between issues, and every issued
 //! `(command, instant)` line plus every completion is pinned as one
 //! committed digest per case. The cases cross one and two ranks (two ranks
-//! reach the per-rank ACT floor), proactive RFM off and at a small BAT, and
-//! strict and postponed refresh.
+//! reach the per-rank ACT floor) with proactive RFM off and at a small BAT.
 
 use mirza_dram::address::{BankId, DramAddr, MappingScheme, RowMapping};
 use mirza_dram::device::Subchannel;
@@ -50,16 +49,12 @@ fn fnv1a(text: &str) -> u64 {
 struct Case {
     ranks: u32,
     rfm_bat: Option<u32>,
-    postpone_refs: u32,
 }
 
 impl Case {
     fn name(&self) -> String {
         let bat = self.rfm_bat.map_or("off".to_string(), |b| b.to_string());
-        format!(
-            "ranks{}/bat-{bat}/postpone{}",
-            self.ranks, self.postpone_refs
-        )
+        format!("ranks{}/bat-{bat}", self.ranks)
     }
 }
 
@@ -67,13 +62,7 @@ fn cases() -> Vec<Case> {
     let mut v = Vec::new();
     for ranks in [1, 2] {
         for rfm_bat in [None, Some(6)] {
-            for postpone_refs in [0, 4] {
-                v.push(Case {
-                    ranks,
-                    rfm_bat,
-                    postpone_refs,
-                });
-            }
+            v.push(Case { ranks, rfm_bat });
         }
     }
     v
@@ -104,7 +93,6 @@ fn run(case: &Case, seed: u64) -> Stream {
     );
     let cfg = McConfig {
         rfm_bat: case.rfm_bat,
-        postpone_refs: case.postpone_refs,
     };
     let mut mc = MemController::new(device, cfg, 0);
     let buf = SharedBuf::new();
@@ -187,7 +175,10 @@ fn every_case_matches_its_committed_digest() {
     let mut actual = String::new();
     for (i, case) in cases().iter().enumerate() {
         let name = case.name();
-        let s = run(case, 0x5eed_0000 + i as u64);
+        // Seeds step by two, as they did when the list also held the
+        // postponed-refresh cases: the committed digests were taken at
+        // these seeds.
+        let s = run(case, 0x5eed_0000 + 2 * i as u64);
         let [hits, misses, conflicts] = s.mix;
         println!(
             "{name}: {} commands, {} refs, {} rfms, {hits}/{misses}/{conflicts} \

@@ -119,7 +119,6 @@ impl MitigationConfig {
         match self {
             MitigationConfig::MintRfm { bat } => McConfig {
                 rfm_bat: Some(*bat),
-                ..McConfig::default()
             },
             _ => McConfig::default(),
         }
@@ -217,14 +216,10 @@ pub struct SimConfig {
     /// fault injection). Pure observability; excluded from
     /// [`SimConfig::to_json`] like `audit`.
     pub track_row_acts: bool,
-    /// Forward-progress watchdog: abort with `SimError::Watchdog` after
-    /// this many consecutive quanta without retiring/completing anything.
-    /// Excluded from [`SimConfig::to_json`]: it only decides when a broken
-    /// run dies, never what a healthy run computes.
-    pub watchdog_idle_quanta: u64,
     /// Forward-progress watchdog: optional total wall-clock budget for the
     /// run; exceeded ⇒ `SimError::Watchdog`. Excluded from
-    /// [`SimConfig::to_json`] for the same reason.
+    /// [`SimConfig::to_json`]: it only decides when a broken run dies,
+    /// never what a healthy run computes.
     pub watchdog_wall: Option<std::time::Duration>,
 }
 
@@ -251,7 +246,6 @@ impl SimConfig {
             heartbeat_every: None,
             audit: false,
             track_row_acts: false,
-            watchdog_idle_quanta: 1_000_000,
             watchdog_wall: None,
         }
     }

@@ -1,19 +1,18 @@
 //! Seeded, deterministic fault injection.
 //!
 //! A [`FaultPlan`] describes *what* to perturb (SEUs in RCT counters and
-//! MIRZA-Q tardiness fields, dropped ALERT raises, skipped refresh-pointer
-//! steps, lost/duplicated queue entries, corrupted trace records) and
-//! *when* (a periodic schedule per fault kind, in simulated time). The
-//! [`FaultInjector`] executes the plan against the live memory controllers
-//! once per simulation quantum, emitting a structured `fault_injected`
-//! telemetry event per attempt and keeping a summary for the run manifest.
+//! MIRZA-Q tardiness fields, dropped ALERT raises, lost/duplicated queue
+//! entries) and *when* (a periodic schedule per fault kind, in simulated
+//! time). The [`FaultInjector`] executes the plan against the live memory
+//! controllers once per simulation quantum, emitting a structured
+//! `fault_injected` telemetry event per attempt and keeping a summary for
+//! the run manifest.
 //!
-//! Determinism: all randomness comes from `SmallRng`s seeded from the
-//! plan's seed (trace corruption uses a per-core stream so its draws never
-//! interleave with the scheduler's), and the schedule is driven by
-//! simulated time only. Same seed + same plan ⇒ bit-identical fault
-//! summaries; no plan ⇒ the injector is never constructed and the run is
-//! bit-identical to an unfaulted one.
+//! Determinism: all randomness comes from a `SmallRng` seeded from the
+//! plan's seed, and the schedule is driven by simulated time only. Same
+//! seed + same plan ⇒ bit-identical fault summaries; no plan ⇒ the
+//! injector is never constructed and the run is bit-identical to an
+//! unfaulted one.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -25,7 +24,6 @@ use rand::{RngCore, SeedableRng};
 use mirza_dram::mitigation::DeviceFault;
 use mirza_dram::time::Ps;
 use mirza_frontend::error::SimError;
-use mirza_frontend::trace::{AccessStream, TraceOp};
 use mirza_memctrl::controller::MemController;
 use mirza_telemetry::{names, Json, Telemetry};
 
@@ -46,17 +44,6 @@ pub enum FaultKind {
         /// How long the ALERT pin reads deasserted.
         mask: Ps,
     },
-    /// Jump the refresh pointer forward, skipping rows for one walk.
-    RefreshSkip {
-        /// REF slots skipped per injection.
-        steps: u32,
-    },
-    /// Corrupt roughly 1-in-`one_in` trace records at the frontend
-    /// boundary (not scheduled; applies continuously).
-    TraceCorrupt {
-        /// Expected records per corruption.
-        one_in: u32,
-    },
 }
 
 impl FaultKind {
@@ -68,15 +55,12 @@ impl FaultKind {
             FaultKind::QueueLoss => "queue_loss",
             FaultKind::QueueDup => "queue_dup",
             FaultKind::AboDrop { .. } => "abo_drop",
-            FaultKind::RefreshSkip { .. } => "refresh_skip",
-            FaultKind::TraceCorrupt { .. } => "trace_corrupt",
         }
     }
 }
 
 /// One scheduled fault process: `kind` fires at `start`, then every
-/// `period`, at most `max` times. `TraceCorrupt` entries ignore the
-/// schedule (they act per trace record instead).
+/// `period`, at most `max` times.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannedFault {
     /// What to inject.
@@ -90,20 +74,14 @@ pub struct PlannedFault {
 }
 
 /// Names of the canned plans, for diagnostics and CLI help.
-pub const CANNED_PLANS: [&str; 5] = [
-    "rct-seu",
-    "abo-drop",
-    "queue-loss",
-    "refresh-skip",
-    "trace-corrupt",
-];
+pub const CANNED_PLANS: [&str; 3] = ["rct-seu", "abo-drop", "queue-loss"];
 
 /// A named, seeded fault schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Plan name (appears in manifests).
     pub name: String,
-    /// Seed for all fault randomness (target/bit selection, corruption).
+    /// Seed for all fault randomness (target and bit selection).
     pub seed: u64,
     /// The scheduled fault processes.
     pub entries: Vec<PlannedFault>,
@@ -136,13 +114,6 @@ impl FaultPlan {
                 every(FaultKind::QueueLoss, 8, 40),
                 every(FaultKind::QueueDup, 12, 90),
             ],
-            "refresh-skip" => vec![every(FaultKind::RefreshSkip { steps: 4 }, 9, 70)],
-            "trace-corrupt" => vec![PlannedFault {
-                kind: FaultKind::TraceCorrupt { one_in: 4096 },
-                start: Ps::ZERO,
-                period: Ps::ZERO,
-                max: u64::MAX,
-            }],
             _ => return None,
         };
         Some(FaultPlan {
@@ -154,9 +125,8 @@ impl FaultPlan {
 
     /// Parses a CLI plan spec: `NAME` or `NAME:key=value,key=value,...`.
     ///
-    /// Keys: `seed`, `period_us`, `start_us`, `max` (all scheduled
-    /// entries), `mask_us` (abo-drop), `steps` (refresh-skip), `one_in`
-    /// (trace-corrupt).
+    /// Keys: `seed`, `period_us`, `start_us`, `max` (every entry) and
+    /// `mask_us` (abo-drop).
     ///
     /// # Errors
     /// [`SimError::Config`] naming the unknown plan or key.
@@ -181,12 +151,12 @@ impl FaultPlan {
             match key {
                 "seed" => plan.seed = num,
                 "period_us" => {
-                    for e in plan.entries.iter_mut().filter(|e| e.period > Ps::ZERO) {
+                    for e in &mut plan.entries {
                         e.period = Ps::from_us(num.max(1));
                     }
                 }
                 "start_us" => {
-                    for e in plan.entries.iter_mut().filter(|e| e.period > Ps::ZERO) {
+                    for e in &mut plan.entries {
                         e.start = Ps::from_us(num);
                     }
                 }
@@ -202,39 +172,17 @@ impl FaultPlan {
                         }
                     }
                 }
-                "steps" => {
-                    for e in &mut plan.entries {
-                        if let FaultKind::RefreshSkip { steps } = &mut e.kind {
-                            *steps = num as u32;
-                        }
-                    }
-                }
-                "one_in" => {
-                    for e in &mut plan.entries {
-                        if let FaultKind::TraceCorrupt { one_in } = &mut e.kind {
-                            *one_in = (num as u32).max(1);
-                        }
-                    }
-                }
                 other => {
                     return Err(SimError::Config {
                         key: other.to_string(),
                         reason: "unknown fault-plan key (known: seed, period_us, \
-                                 start_us, max, mask_us, steps, one_in)"
+                                 start_us, max, mask_us)"
                             .into(),
                     })
                 }
             }
         }
         Ok(plan)
-    }
-
-    /// The corruption rate of the plan's `TraceCorrupt` entry, if any.
-    pub fn trace_one_in(&self) -> Option<u32> {
-        self.entries.iter().find_map(|e| match e.kind {
-            FaultKind::TraceCorrupt { one_in } => Some(one_in),
-            _ => None,
-        })
     }
 }
 
@@ -320,9 +268,6 @@ impl FaultInjector {
         let mut inner = self.inner.borrow_mut();
         for i in 0..inner.plan.entries.len() {
             let entry = inner.plan.entries[i];
-            if entry.period == Ps::ZERO {
-                continue; // trace corruption acts per record, not per tick
-            }
             loop {
                 let state = inner.states[i];
                 if state.next_due > t_end || state.fired >= entry.max {
@@ -369,41 +314,10 @@ impl FaultInjector {
                         mc.mask_alert_until(at + mask);
                         true
                     }
-                    FaultKind::RefreshSkip { steps } => {
-                        mc.skip_refresh_steps(steps);
-                        true
-                    }
-                    FaultKind::TraceCorrupt { .. } => unreachable!("not scheduled"),
                 };
                 inner.record(entry.kind.label(), at.as_ps(), target, applied);
             }
         }
-    }
-
-    /// True when the plan corrupts trace records (the runner then wraps
-    /// every core's stream in a [`CorruptingStream`]).
-    pub fn corrupts_trace(&self) -> bool {
-        self.inner.borrow().plan.trace_one_in().is_some()
-    }
-
-    /// Wraps `stream` so ~1-in-`one_in` records are corrupted, with a
-    /// per-core RNG (seed ⊕ core) so corruption draws never interleave
-    /// with the scheduler's.
-    pub fn corrupting(&self, stream: Box<dyn AccessStream>, core: u32) -> Box<dyn AccessStream> {
-        let inner = self.inner.borrow();
-        let one_in = inner.plan.trace_one_in().unwrap_or(u32::MAX);
-        let rng = SmallRng::seed_from_u64(
-            inner.plan.seed ^ (u64::from(core).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        );
-        drop(inner);
-        Box::new(CorruptingStream {
-            stream,
-            rng,
-            one_in: u64::from(one_in.max(1)),
-            injector: self.clone(),
-            core,
-            index: 0,
-        })
     }
 
     /// Total faults that changed state.
@@ -430,38 +344,6 @@ impl FaultInjector {
             .push("injected", inner.injected)
             .push("injected_by_kind", by_kind);
         doc
-    }
-}
-
-/// An [`AccessStream`] adapter that flips bits in ~1-in-`one_in` records:
-/// address bit flips, load/store inversions, or instruction-count upsets.
-struct CorruptingStream {
-    stream: Box<dyn AccessStream>,
-    rng: SmallRng,
-    one_in: u64,
-    injector: FaultInjector,
-    core: u32,
-    index: u64,
-}
-
-impl AccessStream for CorruptingStream {
-    fn next_op(&mut self) -> Option<TraceOp> {
-        let mut op = self.stream.next_op()?;
-        self.index += 1;
-        if self.rng.next_u64().is_multiple_of(self.one_in) {
-            match self.rng.next_u64() % 3 {
-                0 => op.vaddr ^= 1 << (self.rng.next_u64() % 48),
-                1 => op.is_store = !op.is_store,
-                _ => op.nonmem ^= 1 << (self.rng.next_u64() % 8),
-            }
-            // Trace faults have no device timestamp; the event carries the
-            // record's stream position instead.
-            self.injector
-                .inner
-                .borrow_mut()
-                .record("trace_corrupt", 0, u64::from(self.core), true);
-        }
-        Some(op)
     }
 }
 
@@ -499,45 +381,5 @@ mod tests {
         assert!(err.to_string().contains("key=value"), "{err}");
         let err = FaultPlan::parse("rct-seu:max=many").unwrap_err();
         assert!(err.to_string().contains("unsigned integer"), "{err}");
-    }
-
-    #[test]
-    fn trace_plan_is_unscheduled() {
-        let plan = FaultPlan::parse("trace-corrupt:one_in=7").unwrap();
-        assert_eq!(plan.trace_one_in(), Some(7));
-        let inj = FaultInjector::new(plan, Telemetry::disabled());
-        assert!(inj.corrupts_trace());
-        // No controllers: tick must be a no-op, not a panic.
-        inj.tick(Ps::from_us(1_000), &mut []);
-        assert_eq!(inj.total_attempted(), 0);
-    }
-
-    #[test]
-    fn corrupting_stream_is_deterministic_and_bounded() {
-        use mirza_frontend::trace::VecStream;
-        let ops: Vec<TraceOp> = (0..4096u64)
-            .map(|i| TraceOp {
-                nonmem: 3,
-                vaddr: i * 64,
-                is_store: false,
-            })
-            .collect();
-        let run = || {
-            let plan = FaultPlan::parse("trace-corrupt:one_in=64").unwrap();
-            let inj = FaultInjector::new(plan, Telemetry::disabled());
-            let mut s = inj.corrupting(Box::new(VecStream::once(ops.clone())), 0);
-            let mut out = Vec::new();
-            while let Some(op) = s.next_op() {
-                out.push(op);
-            }
-            (out, inj.total_injected())
-        };
-        let (a, na) = run();
-        let (b, nb) = run();
-        assert_eq!(a, b, "same seed must corrupt identically");
-        assert_eq!(na, nb);
-        assert!(na > 0, "expected some corruption at 1-in-64 over 4096 ops");
-        let flipped = a.iter().zip(&ops).filter(|(x, y)| x != y).count() as u64;
-        assert!(flipped <= na, "corruptions {na} < visible flips {flipped}");
     }
 }

@@ -83,9 +83,8 @@ pub fn run_name(cfg: &SimConfig, workload: &str) -> String {
 }
 
 /// Runs `workload` under `cfg`, its attacker core last when it has one,
-/// with telemetry and optional fault injection: the injector is ticked
-/// every quantum, and when its plan corrupts trace records every benign
-/// core's stream is wrapped at the frontend boundary.
+/// with telemetry and optional fault injection (the injector is ticked
+/// every quantum).
 ///
 /// # Errors
 /// [`SimError::UnknownWorkload`] for a bad name, [`SimError::Watchdog`]
@@ -102,20 +101,11 @@ pub fn try_run_workload_with(
     let attackers = usize::from(cfg.attacker.is_some());
     let benign = cfg.cores.saturating_sub(attackers);
     assert!(benign > 0, "need a benign core besides the attacker");
-    let mut streams = try_build_traces(workload, benign, cfg.seed, cfg.footprint_divisor)?;
-    if let Some(inj) = faults {
-        if inj.corrupts_trace() {
-            streams = streams
-                .into_iter()
-                .enumerate()
-                .map(|(i, s)| inj.corrupting(s, i as u32))
-                .collect();
-        }
-    }
-    let mut setups: Vec<CoreSetup> = streams
-        .into_iter()
-        .map(|t| CoreSetup::benign(t, cfg.instructions_per_core))
-        .collect();
+    let mut setups: Vec<CoreSetup> =
+        try_build_traces(workload, benign, cfg.seed, cfg.footprint_divisor)?
+            .into_iter()
+            .map(|t| CoreSetup::benign(t, cfg.instructions_per_core))
+            .collect();
     if let Some(a) = &cfg.attacker {
         setups.push(CoreSetup::attacker(attack_stream(cfg, a.bank, &a.pattern)));
     }
@@ -155,23 +145,6 @@ pub fn run_tracefile(
     let mut system = System::new(cfg.clone(), &name, setups);
     system.set_telemetry(telemetry);
     system.try_run()
-}
-
-/// Deliberately stalls: runs `workload` with a zero-width quantum, so no
-/// pass ever makes forward progress and the idle watchdog must fire.
-/// Exists to exercise (and demonstrate) the watchdog path end to end.
-///
-/// # Errors
-/// Always returns [`SimError::Watchdog`] (or the workload-resolution
-/// errors of [`try_build_traces`]).
-pub fn run_stalled(
-    cfg: &SimConfig,
-    workload: &str,
-    telemetry: Telemetry,
-) -> Result<SimReport, SimError> {
-    let mut cfg = cfg.clone();
-    cfg.quantum = mirza_dram::time::Ps::ZERO;
-    try_run_workload_with(&cfg, workload, telemetry, None)
 }
 
 /// Converts a row-level attack pattern on `bank` into an uncached,

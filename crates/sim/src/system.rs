@@ -21,6 +21,10 @@ use crate::faults::FaultInjector;
 use crate::report::SimReport;
 use crate::SimError;
 
+/// Consecutive quanta without retiring or completing anything after which
+/// the forward-progress watchdog aborts a run.
+const WATCHDOG_IDLE_QUANTA: u64 = 1_000_000;
+
 /// Per-core launch description.
 pub struct CoreSetup {
     /// The instruction/access stream the core executes.
@@ -214,11 +218,10 @@ impl System {
 
     /// Runs to completion and produces the report, or a
     /// [`SimError::Watchdog`] if forward progress stops (no work retired
-    /// for the idle budget — `cfg.watchdog_idle_quanta` quanta of
-    /// simulated time) or the optional `cfg.watchdog_wall` wall-clock
-    /// budget is exhausted. On the error path, per-controller telemetry is
-    /// flushed and any epoch series is closed at the stall boundary, so
-    /// partial streams stay readable.
+    /// for the idle budget of 10^6 quanta of simulated time) or the
+    /// optional `cfg.watchdog_wall` wall-clock budget is exhausted. On the
+    /// error path, per-controller telemetry is flushed and any epoch series
+    /// is closed at the stall boundary, so partial streams stay readable.
     ///
     /// The loop walks every quantum boundary in turn. At each one it
     /// re-runs every unfinished core up to the boundary, lets both
@@ -278,7 +281,7 @@ impl System {
                 idle_quanta = 0;
             } else {
                 idle_quanta += 1;
-                if idle_quanta >= self.cfg.watchdog_idle_quanta {
+                if idle_quanta >= WATCHDOG_IDLE_QUANTA {
                     stalled = Some(format!("no forward progress for {idle_quanta} quanta"));
                     break;
                 }

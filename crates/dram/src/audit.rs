@@ -251,7 +251,8 @@ impl CommandAuditor {
         self.violation_count
     }
 
-    /// Details of the first [`MAX_RETAINED`] violations.
+    /// Details of the first 64 violations; [`CommandAuditor::violations`]
+    /// counts them all.
     pub fn recent_violations(&self) -> &[Violation] {
         &self.recent
     }

@@ -591,9 +591,8 @@ impl MemController {
     /// Issues every command whose legal instant is at or before `t_end`,
     /// appending read/write completions to `out`.
     ///
-    /// The next command is served from the cross-call cache
-    /// ([`MemController::peek_next`]), so a pass with nothing to issue costs
-    /// one comparison.
+    /// The next command is served from the cross-call cache (`peek_next`),
+    /// so a pass with nothing to issue costs one comparison.
     pub fn run_until(&mut self, t_end: Ps, out: &mut Vec<Completion>) {
         let (mut batch_reads, mut batch_writes) = (0u64, 0u64);
         let (mut batch_acts, mut batch_refs) = (0u64, 0u64);

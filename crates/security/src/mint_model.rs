@@ -1,5 +1,5 @@
 //! MINT security model (Section II-E; the paper defers to MINT's published
-//! model [33]).
+//! model \[33\]).
 //!
 //! MINT picks one of every `W` candidate activations uniformly. An attacker
 //! row fed `a` of the `W` activations of a window escapes that window's

@@ -1,6 +1,6 @@
 //! Locked stderr progress lines.
 //!
-//! Heartbeats, "running <key>"-style status lines, and pool progress all
+//! Heartbeats, `running <key>`-style status lines, and pool progress all
 //! land on stderr. Serial code could `eprintln!` freely, but parallel sweep
 //! workers racing the same stream can splice partial lines together. This
 //! module is the one shared chokepoint: a process-wide mutex plus a single
@@ -10,7 +10,7 @@
 //!
 //! `std::io::Stderr` is itself line-locked per call, but formatting through
 //! `eprintln!` may issue several writes for one logical line; routing
-//! through [`line`] closes that gap and gives non-stderr consumers (tests)
+//! through [`line()`] closes that gap and gives non-stderr consumers (tests)
 //! a capture hook.
 
 use std::io::Write;
@@ -19,7 +19,7 @@ use std::sync::Mutex;
 static PROGRESS: Mutex<()> = Mutex::new(());
 
 /// Writes one complete progress line to stderr, atomically with respect to
-/// every other [`line`] caller in the process.
+/// every other [`line()`] caller in the process.
 pub fn line(text: &str) {
     let mut buf = String::with_capacity(text.len() + 1);
     buf.push_str(text);

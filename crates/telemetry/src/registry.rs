@@ -44,7 +44,7 @@ impl NameMemo {
 ///
 /// Counter and histogram values live in dense vectors; the `BTreeMap`s map
 /// names to vector slots and keep manifest iteration deterministically
-/// name-ordered. A [`NameMemo`] per family resolves repeat lookups from the
+/// name-ordered. A `NameMemo` per family resolves repeat lookups from the
 /// same call site without touching the tree.
 #[derive(Debug, Default, Clone)]
 pub struct Registry {

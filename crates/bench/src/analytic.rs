@@ -10,7 +10,23 @@ use mirza_security::dos::{
     table11,
 };
 use mirza_security::proactive::{refresh_cannibalization, table2};
+use mirza_trackers::mint_rfm::MintRfm;
 use std::fmt::Write as _;
+
+/// MIRZA's design point for `trhd`: its Table VII row, or Table XII's for
+/// 4800.
+///
+/// # Panics
+/// Panics for any other TRHD.
+pub(crate) fn mirza_preset(trhd: u32) -> MirzaConfig {
+    match trhd {
+        500 => MirzaConfig::trhd_500(),
+        1000 => MirzaConfig::trhd_1000(),
+        2000 => MirzaConfig::trhd_2000(),
+        4800 => MirzaConfig::trhd_4800(),
+        _ => panic!("no Table VII preset for TRHD {trhd}"),
+    }
+}
 
 /// Table I: DRAM timing parameters, baseline vs PRAC.
 pub fn table1() -> String {
@@ -180,17 +196,15 @@ pub fn table12() -> String {
 
 /// Appendix A / Table XIII analytic columns: worst-case (performance
 /// attack) slowdowns for the three designs.
+///
+/// # Panics
+/// Panics for a TRHD with no MIRZA preset.
 pub fn table13_attack_column(trhd: u32) -> (f64, f64, f64) {
     let t = TimingParams::ddr5_6000();
-    let (bat, w) = match trhd {
-        500 => (24, 8),
-        1000 => (48, 12),
-        _ => (96, 16),
-    };
     (
         prac_attack_slowdown(&t, trhd / 16),
-        mint_rfm_attack_slowdown(&t, bat),
-        mirza_attack_slowdown(&t, w),
+        mint_rfm_attack_slowdown(&t, MintRfm::bat_for_trhd(trhd)),
+        mirza_attack_slowdown(&t, mirza_preset(trhd).mint_w),
     )
 }
 
@@ -240,5 +254,11 @@ mod tests {
             let (prac, rfm, mirza) = table13_attack_column(trhd);
             assert!(prac < rfm && rfm < mirza, "{trhd}: {prac} {rfm} {mirza}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "no Table VII preset")]
+    fn attack_column_refuses_a_trhd_without_a_preset() {
+        let _ = table13_attack_column(750);
     }
 }

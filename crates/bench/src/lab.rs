@@ -35,6 +35,7 @@ use mirza_telemetry::{
     StallBucket, Telemetry,
 };
 
+use crate::analytic::mirza_preset;
 use crate::scale::Scale;
 
 /// Memoizing experiment runner.
@@ -776,15 +777,11 @@ impl Lab {
     }
 
     /// MIRZA mitigation config for a target TRHD, scaled to this lab.
+    ///
+    /// # Panics
+    /// Panics for a TRHD with no preset (500, 1000, 2000 and 4800 have one).
     pub fn mirza(&self, trhd: u32) -> MitigationConfig {
-        let cfg = match trhd {
-            500 => MirzaConfig::trhd_500(),
-            1000 => MirzaConfig::trhd_1000(),
-            2000 => MirzaConfig::trhd_2000(),
-            4800 => MirzaConfig::trhd_4800(),
-            _ => panic!("no Table VII preset for TRHD {trhd}"),
-        };
-        self.mirza_with(cfg)
+        self.mirza_with(mirza_preset(trhd))
     }
 
     /// MIRZA at design point `cfg` with the safe RCT reset, its FTH

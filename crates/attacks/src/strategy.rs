@@ -255,43 +255,20 @@ impl AddressStrategy for DecoyFlood {
 /// unmitigated counts were just cleared, so every ACT lands at the start
 /// of a full walk-length accumulation window.
 #[derive(Debug, Clone)]
-pub struct RefreshSync {
+pub struct RefreshSyncStrategy {
+    mapping: RowMapping,
     rows: [u32; 2],
     flip: bool,
 }
 
-impl RefreshSync {
-    /// A refresh-chasing attack; starts on physical rows 0/1 until the
-    /// first REF retargets it.
-    pub fn new(mapping: &RowMapping) -> Self {
-        RefreshSync {
-            rows: [mapping.row_of(0), mapping.row_of(1)],
-            flip: false,
-        }
-    }
-
-    /// Remembers the mapping for retargeting — kept outside the struct to
-    /// stay `Copy`-cheap; retargeting uses the slice plus this mapping.
-    fn retarget(&mut self, mapping: &RowMapping, slice: &RefreshSlice) {
-        let s = slice.phys_rows.start;
-        self.rows = [mapping.row_of(s), mapping.row_of(s + 1)];
-    }
-}
-
-/// [`RefreshSync`] needs the mapping at `on_ref` time, so the public type
-/// bundles them.
-#[derive(Debug, Clone)]
-pub struct RefreshSyncStrategy {
-    inner: RefreshSync,
-    mapping: RowMapping,
-}
-
 impl RefreshSyncStrategy {
-    /// A refresh-chasing attack over `mapping`.
+    /// A refresh-chasing attack over `mapping`; starts on physical rows
+    /// 0/1 until the first REF retargets it.
     pub fn new(mapping: RowMapping) -> Self {
         RefreshSyncStrategy {
-            inner: RefreshSync::new(&mapping),
+            rows: [mapping.row_of(0), mapping.row_of(1)],
             mapping,
+            flip: false,
         }
     }
 }
@@ -302,16 +279,17 @@ impl AddressStrategy for RefreshSyncStrategy {
     }
 
     fn next_row(&mut self, _fb: &Feedback) -> u32 {
-        self.inner.flip = !self.inner.flip;
-        self.inner.rows[usize::from(self.inner.flip)]
+        self.flip = !self.flip;
+        self.rows[usize::from(self.flip)]
     }
 
     fn on_ref(&mut self, slice: &RefreshSlice) {
-        self.inner.retarget(&self.mapping, slice);
+        let s = slice.phys_rows.start;
+        self.rows = [self.mapping.row_of(s), self.mapping.row_of(s + 1)];
     }
 
     fn target_rows(&self) -> Vec<u32> {
-        self.inner.rows.to_vec()
+        self.rows.to_vec()
     }
 }
 

@@ -22,9 +22,8 @@
 //! nanoseconds into per-run JSONL streams (`--epoch-dir`, default
 //! `epochs/`); `--strict-audit` attaches the independent DDR5 protocol
 //! auditor and fails the run on any violation; `--compare BASELINE.json`
-//! re-runs the named experiments and exits
-//! nonzero if the deterministic manifest sections diverge from the
-//! baseline.
+//! re-runs the named experiments and exits nonzero if the deterministic
+//! manifest sections diverge from the baseline.
 //!
 //! Each target honours a fixed set of the artifact and probe flags (one
 //! table in `main`); any other one that is set is a usage error (exit 1)

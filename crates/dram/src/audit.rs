@@ -68,12 +68,11 @@ struct ShadowBank {
 ///
 /// The census keeps its *own* shadow refresh-pointer position, derived
 /// only from observed REF commands, so it stays independent of the
-/// device's pointer. When used by the
-/// [`CommandAuditor`] it deliberately does not credit targeted victim
-/// refreshes performed by the mitigation engine, making the reported
-/// maximum a conservative upper bound; attack harnesses that model the
-/// mitigation protocol faithfully may call [`RowCensus::credit`] to reset
-/// a mitigated aggressor's count.
+/// device's pointer. When used by the [`CommandAuditor`] it deliberately
+/// does not credit targeted victim refreshes performed by the mitigation
+/// engine, making the reported maximum a conservative upper bound; attack
+/// harnesses that model the mitigation protocol faithfully may call
+/// [`RowCensus::credit`] to reset a mitigated aggressor's count.
 #[derive(Debug, Clone)]
 pub struct RowCensus {
     mapping: RowMapping,

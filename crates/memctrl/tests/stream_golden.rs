@@ -175,9 +175,8 @@ fn every_case_matches_its_committed_digest() {
     let mut actual = String::new();
     for (i, case) in cases().iter().enumerate() {
         let name = case.name();
-        // Seeds step by two, as they did when the list also held the
-        // postponed-refresh cases: the committed digests were taken at
-        // these seeds.
+        // Seeds step by two: the committed digests were taken at these
+        // seeds.
         let s = run(case, 0x5eed_0000 + 2 * i as u64);
         let [hits, misses, conflicts] = s.mix;
         println!(

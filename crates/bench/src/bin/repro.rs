@@ -25,6 +25,10 @@
 //! re-runs the named experiments and exits nonzero if the deterministic
 //! manifest sections diverge from the baseline.
 //!
+//! Artifact flags: `--csv FILE` writes a header and one row of raw
+//! counters per simulated run, replacing what FILE held; `--json FILE`
+//! writes the run manifest.
+//!
 //! Each target honours a fixed set of the artifact and probe flags (one
 //! table in `main`); any other one that is set is a usage error (exit 1)
 //! and nothing runs.
@@ -51,10 +55,14 @@
 //! Simulator speed is measured by the benchmark in `benchsuite/`.
 //!
 //! Parallelism: `--jobs N` runs independent simulation/matrix cells on the
-//! supervised work-pool (default: `available_parallelism`; `--jobs 1`
-//! forces the serial path). Output is bit-identical at any job count —
-//! results merge into canonical enumeration order before anything is
-//! written. The attack matrix checkpoints each completed cell into
+//! supervised work-pool (default: `available_parallelism`; `--jobs 1` is
+//! a pool of one worker on the main thread, not a separate serial path).
+//! Output is bit-identical at any job count — results merge into canonical
+//! enumeration order before anything is written. A lab cell that fails
+//! ends the run the same way at any job count: the runs recorded before it
+//! keep their CSV rows, the partial manifest lists it under `failures`,
+//! and the process exits with its error's code (a panicking cell exits 7).
+//! The attack matrix checkpoints each completed cell into
 //! `<csv>.journal.jsonl` (fsync'd); after a crash or kill, `--resume`
 //! replays the journal's completed cells and schedules only the remainder,
 //! and the journal is deleted on a fully-successful run. Cells that still
@@ -110,7 +118,7 @@ const EXTENSION_EXPERIMENTS: &[&str] = &[
 ];
 
 /// Runs one named experiment. Lab drivers go through [`Lab::sweep`], so
-/// their cells run on the work pool at `--jobs N`; the analytic and
+/// their cells run on the work pool at any `--jobs`; the analytic and
 /// attack tables run no lab cells and are called directly.
 fn run_experiment(name: &str, lab: &mut Lab) -> Option<String> {
     Some(match name {
@@ -529,11 +537,6 @@ fn main() -> ExitCode {
     }
     lab.audit = strict_audit;
     lab.trace_chrome = trace_chrome;
-    if verbose {
-        // One status line roughly every 10 M retired instructions keeps
-        // paper-scale runs observably alive without flooding fast mode.
-        lab.heartbeat_every = Some(10_000_000);
-    }
     if json.is_some() || compare.is_some() {
         lab.enable_manifest();
     }

@@ -2,21 +2,32 @@
 //! workload backs every slowdown column), so the lab memoizes reports by
 //! (mitigation label, run name).
 //!
-//! With `jobs > 1` the lab also fronts the supervised work-pool
-//! (`mirza-runner`). [`Lab::sweep`] takes a lab driver, any function that
-//! asks [`Lab::run`] for reports, and calls it twice. In the planning pass
-//! every uncached request is noted, in first-request order, and answered
-//! with a zeroed stand-in report. The pool then runs the planned cells,
-//! and their results go through the serial bookkeeping (audit warnings,
-//! epoch streams, manifest record, CSV append, cache insert) in plan
-//! order. In the real pass every request is a cache hit. No driver's
-//! requests depend on a report's values, so plan order is the order a
-//! serial run makes them in, and manifests and CSVs are bit-identical to
-//! a `jobs = 1` run whatever order the workers finish in. Were a driver's
-//! requests to depend on them, the cells the plan missed would run
-//! serially on demand: the same output, with less parallelism.
+//! Every fresh run is a cell of a supervised work-pool campaign
+//! (`mirza-runner`), at any job count; at `jobs = 1` the pool is one
+//! worker on the calling thread. [`Lab::sweep`] takes a lab driver, any
+//! function that asks [`Lab::run`] for reports, and calls it twice. In the
+//! planning pass every uncached request is noted, in first-request order,
+//! and answered with a zeroed stand-in report. The planned cells then run
+//! as one campaign, and their results go through the serial bookkeeping
+//! (audit warnings, epoch streams, manifest record, CSV row, cache insert)
+//! in plan order. In the real pass every request is a cache hit. No
+//! driver's requests depend on a report's values, so plan order is the
+//! order the driver makes them in, and manifests and CSVs are
+//! bit-identical at any job count whatever order the workers finish in.
+//! Were a driver's requests to depend on them, the cells the plan missed
+//! would run on demand as one-cell campaigns, as an uncached [`Lab::run`]
+//! outside a sweep does: the same output, with less parallelism.
+//!
+//! A failing cell ends the process the same way at any job count. A
+//! simulation error is the cell's outcome, so the pool never re-runs it;
+//! only a panic gets the pool's one retry. Once a cell has failed, the
+//! campaign's cells that have not started return without running. The
+//! completed cells before the first failed one in plan order are
+//! recorded, and the failure exits with its error's code (a panic exits
+//! 7), leaving the partial manifest with the cell under `failures`.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use mirza_core::config::MirzaConfig;
 use mirza_core::rct::ResetPolicy;
@@ -38,19 +49,23 @@ use mirza_telemetry::{
 use crate::analytic::mirza_preset;
 use crate::scale::Scale;
 
+/// Retired instructions between the heartbeat lines of a verbose lab's
+/// runs: often enough to show a paper-scale run is alive, rarely enough
+/// not to flood fast mode.
+const HEARTBEAT_EVERY: u64 = 10_000_000;
+
 /// Memoizing experiment runner.
 pub struct Lab {
     scale: Scale,
     cache: HashMap<String, SimReport>,
-    /// Print progress lines while running (on for the CLI, off in tests).
+    /// Print progress lines, and a heartbeat from every run, while
+    /// running (on for the CLI, off in tests).
     pub verbose: bool,
-    /// Append one CSV row per completed run to this file.
+    /// Write the CSV header and one row per fresh run to this file,
+    /// replacing what it held.
     pub csv_path: Option<std::path::PathBuf>,
-    /// Whether this lab has written the CSV header (consulted only when
-    /// the CSV path is not a regular file).
-    csv_header_sent: bool,
-    /// Progress heartbeat period in retired instructions (`None` = silent).
-    pub heartbeat_every: Option<u64>,
+    /// The CSV file, created at the first recorded run.
+    csv: Option<std::fs::File>,
     /// Epoch sampling period in picoseconds (`None` = sampler off). Each
     /// simulated run leaves `epochs_<label>-<run name>.jsonl` in
     /// [`Lab::epoch_dir`] and a per-series summary in the manifest.
@@ -78,19 +93,13 @@ pub struct Lab {
     /// Where the manifest will be written; a fatal error flushes the
     /// partial document here before exiting.
     pub manifest_path: Option<std::path::PathBuf>,
-    /// Worker threads for [`Lab::sweep`] (1 = fully serial; the CLI
-    /// stamps `--jobs` here). Any value preserves serial output: see the
-    /// module docs.
+    /// Pool workers for every campaign (the CLI stamps `--jobs` here).
+    /// Any value gives the same output: see the module docs.
     pub jobs: usize,
     /// The cells a sweep's planning pass has asked for, deduplicated and
     /// in first-request order (`None` outside a planning pass).
     plan: Option<Vec<LabCellSpec>>,
-    /// Cells that failed in the pool after supervision. Each is re-run on
-    /// the caller thread; persistent errors still end in [`Lab::fatal`]
-    /// with the underlying error's exit code, and the manifest carries
-    /// this list as a top-level `failures` section.
-    pool_failures: Vec<CellFailure>,
-    /// Aggregate pool statistics across sweeps (manifest top-level
+    /// Aggregate pool statistics across campaigns (manifest top-level
     /// `runner` section; absent when no pool ever ran).
     runner_stats: Option<RunnerStats>,
 }
@@ -138,25 +147,20 @@ impl RunnerStats {
     }
 }
 
-/// Everything a worker needs to execute one (mitigation, workload, core
-/// mix) cell — plain data, shareable across threads.
+/// One (mitigation, workload, core mix) cell: plain data, shareable
+/// across threads. Every other setting of the run is read from the lab.
 struct LabCellSpec {
     key: String,
     workload: String,
     cfg: SimConfig,
-    manifest_on: bool,
-    epoch_ps: Option<u64>,
-    spanning: bool,
     chrome_path: Option<std::path::PathBuf>,
-    fault_plan: Option<FaultPlan>,
-    verbose: bool,
 }
 
 impl LabCellSpec {
     /// The planning pass's answer to a request: the right label and run
     /// name, one zero IPC per benign core, every counter zero, and an
     /// empty attribution when spans are armed. Never cached or recorded.
-    fn stand_in(&self) -> SimReport {
+    fn stand_in(&self, spanning: bool) -> SimReport {
         SimReport {
             label: self.cfg.mitigation.label(),
             workload: run_name(&self.cfg, &self.workload),
@@ -172,7 +176,7 @@ impl LabCellSpec {
             t_refi: Ps::ZERO,
             t_refw: Ps::ZERO,
             subchannels: 0,
-            attribution: self.spanning.then_some(AttributionSummary {
+            attribution: spanning.then_some(AttributionSummary {
                 requests: 0,
                 total_stall_ps: 0,
                 buckets_ps: [0; StallBucket::ALL.len()],
@@ -182,41 +186,56 @@ impl LabCellSpec {
     }
 }
 
-impl Cell for LabCellSpec {
-    type Out = CompletedRun;
+/// A cell of one campaign: its spec, the lab it runs under, and the
+/// campaign's flag that a cell has failed.
+struct LabCell<'a> {
+    lab: &'a Lab,
+    spec: &'a LabCellSpec,
+    failed: &'a AtomicBool,
+}
+
+/// What a campaign cell came to.
+enum CellRun {
+    Done(Box<CompletedRun>),
+    /// The simulation's error, with any partial epoch stream so that
+    /// [`Lab::fatal`] can still flush it.
+    Failed(SimError, Option<String>),
+    /// Not started: another cell of the campaign had failed.
+    Skipped,
+}
+
+impl Cell for LabCell<'_> {
+    type Out = CellRun;
 
     fn id(&self) -> String {
-        self.key.clone()
+        self.spec.key.clone()
     }
 
-    fn run(&self) -> Result<CompletedRun, SimError> {
-        // Partial epoch streams of failed cells are dropped here; the
-        // serial retry regenerates (and on a persistent error, flushes)
-        // them via `Lab::fatal`.
-        Lab::execute_spec(self).map_err(|(err, _epochs)| err)
+    /// A simulation error is returned as the cell's outcome, not as a
+    /// pool failure: a rerun would fail the same way.
+    fn run(&self) -> Result<CellRun, SimError> {
+        if self.failed.load(Ordering::Relaxed) {
+            return Ok(CellRun::Skipped);
+        }
+        Ok(match self.lab.execute_spec(self.spec) {
+            Ok(run) => CellRun::Done(Box::new(run)),
+            Err((err, epochs_jsonl)) => {
+                self.failed.store(true, Ordering::Relaxed);
+                CellRun::Failed(err, epochs_jsonl)
+            }
+        })
     }
 }
 
-/// A completed run on its way to [`Lab::record`]: the report plus every
-/// manifest section precomputed, so recording touches no telemetry and
-/// stays byte-deterministic wherever the run executed.
+/// A completed run on its way to [`Lab::record`]: the report plus its
+/// finished manifest record, so recording touches no telemetry and stays
+/// byte-deterministic on whichever worker the run executed.
 struct CompletedRun {
-    cfg: SimConfig,
     report: SimReport,
-    sections: RunSections,
+    /// The run's manifest record (`None` unless manifest mode is on).
+    record: Option<Json>,
     violations: u64,
     epochs_jsonl: Option<String>,
-}
-
-/// The optional per-run manifest sections, gathered while the run's
-/// telemetry is still live (worker-side for pooled runs, inline for
-/// serial ones).
-struct RunSections {
-    telemetry: Json,
-    epochs: Option<Json>,
-    audit_violations: Option<u64>,
-    faults: Option<Json>,
-    verdict: Option<Json>,
 }
 
 impl Lab {
@@ -227,8 +246,7 @@ impl Lab {
             cache: HashMap::new(),
             verbose: false,
             csv_path: None,
-            csv_header_sent: false,
-            heartbeat_every: None,
+            csv: None,
             epoch_ps: None,
             epoch_dir: std::path::PathBuf::from("epochs"),
             audit: false,
@@ -241,7 +259,6 @@ impl Lab {
             trace_chrome: None,
             jobs: 1,
             plan: None,
-            pool_failures: Vec::new(),
             runner_stats: None,
         }
     }
@@ -261,60 +278,6 @@ impl Lab {
         if let Some(groups) = &mut self.manifest {
             groups.push((name.to_string(), Vec::new()));
         }
-    }
-
-    /// Gathers every optional manifest section from a run's live
-    /// telemetry. Each is attached only when its collector ran, so
-    /// probe-off manifests stay byte-compatible with earlier versions.
-    /// Static (no `&self`) so pool workers can call it for pooled runs.
-    fn collect_sections(
-        cfg: &SimConfig,
-        telemetry: &Telemetry,
-        injector: Option<&FaultInjector>,
-    ) -> RunSections {
-        RunSections {
-            telemetry: telemetry.to_json().unwrap_or(Json::Null),
-            epochs: telemetry.epochs_summary_json(),
-            audit_violations: cfg
-                .audit
-                .then(|| telemetry.counter(names::AUDIT_VIOLATIONS)),
-            faults: injector.map(FaultInjector::summary_json),
-            verdict: injector
-                .is_some()
-                .then(|| Self::security_verdict(cfg, telemetry)),
-        }
-    }
-
-    fn push_manifest_run(&mut self, cfg: &SimConfig, report: &SimReport, sections: RunSections) {
-        let Some(groups) = &mut self.manifest else {
-            return;
-        };
-        if groups.is_empty() {
-            groups.push(("ungrouped".to_string(), Vec::new()));
-        }
-        let mut run = Json::obj();
-        run.push("label", report.label.as_str())
-            .push("workload", report.workload.as_str())
-            .push("config", cfg.to_json())
-            .push("report", report.to_json())
-            .push("telemetry", sections.telemetry);
-        if let Some(e) = sections.epochs {
-            run.push("epochs", e);
-        }
-        if let Some(v) = sections.audit_violations {
-            run.push("audit_violations", v);
-        }
-        if let Some(f) = sections.faults {
-            run.push("faults", f);
-        }
-        if let Some(v) = sections.verdict {
-            run.push("security_verdict", v);
-        }
-        groups
-            .last_mut()
-            .expect("just ensured non-empty")
-            .1
-            .push(run);
     }
 
     /// Compares the auditor's maximum per-row ACT census against the NBO
@@ -372,20 +335,6 @@ impl Lab {
         if let Some(stats) = &self.runner_stats {
             doc.push("runner", stats.to_json(self.jobs));
         }
-        if !self.pool_failures.is_empty() {
-            let failures: Vec<Json> = self
-                .pool_failures
-                .iter()
-                .map(|f| {
-                    let mut j = Json::obj();
-                    j.push("cell", f.id.as_str())
-                        .push("attempts", u64::from(f.attempts))
-                        .push("error", f.error.to_string());
-                    j
-                })
-                .collect();
-            doc.push("failures", Json::Arr(failures));
-        }
         Some(doc)
     }
 
@@ -397,74 +346,29 @@ impl Lab {
         std::fs::write(path, doc.to_string_pretty() + "\n")
     }
 
-    /// Rotates `path` to `path.old` when it is a regular file whose first
-    /// line is not the current [`SimReport::csv_header`]: appending rows to
-    /// a file written by an older binary would silently shift every column
-    /// under the stale header. Pipes and devices (`/dev/stdout`) are never
-    /// read: a read could block on them or never end.
-    fn rotate_stale_csv(path: &std::path::Path) {
-        use std::io::Read as _;
-        if !std::fs::metadata(path).is_ok_and(|m| m.is_file()) {
-            return; // absent (the append path creates it) or not a file
-        }
-        let Ok(f) = std::fs::File::open(path) else {
-            return;
-        };
-        // The header's length plus one byte decides whether the first line
-        // is the header.
-        let header = SimReport::csv_header();
-        let mut head = Vec::with_capacity(header.len() + 1);
-        let Ok(_) = f.take(header.len() as u64 + 1).read_to_end(&mut head) else {
-            return;
-        };
-        let first = head.split(|&b| b == b'\n').next().unwrap_or_default();
-        let first = first.strip_suffix(b"\r").unwrap_or(first);
-        if first.is_empty() || first == header.as_bytes() {
-            return;
-        }
-        let mut old = path.as_os_str().to_os_string();
-        old.push(".old");
-        match std::fs::rename(path, &old) {
-            Ok(()) => eprintln!(
-                "warning: {} had a stale CSV header; rotated to {}",
-                path.display(),
-                std::path::Path::new(&old).display()
-            ),
-            Err(e) => eprintln!("warning: cannot rotate stale CSV {}: {e}", path.display()),
-        }
-    }
-
-    fn append_csv(&mut self, report: &SimReport) {
+    /// Writes `report`'s row to the CSV file. The first recorded run
+    /// creates the file, replacing any old one, and writes the header. The
+    /// file is unbuffered, so every row written survives [`Lab::fatal`].
+    fn write_csv_row(&mut self, report: &SimReport) {
         use std::io::Write as _;
         let Some(path) = &self.csv_path else {
             return;
         };
-        Self::rotate_stale_csv(path);
-        let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        else {
-            eprintln!("warning: cannot open {}", path.display());
-            return;
-        };
-        // A regular file gets the header iff it is empty *after* opening:
-        // probing `exists()` beforehand writes a second header when the
-        // path appears between the probe and the open, and skips it for
-        // pre-created empty files. A pipe or device reads as empty on every
-        // open, so it gets the header once per lab.
-        let header = match f.metadata() {
-            Ok(m) if m.is_file() => m.len() == 0,
-            _ => !self.csv_header_sent,
-        };
-        let text = if header {
-            format!("{}\n{}\n", SimReport::csv_header(), report.csv_row())
-        } else {
-            format!("{}\n", report.csv_row())
-        };
-        match f.write_all(text.as_bytes()) {
-            Ok(()) => self.csv_header_sent |= header,
-            Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+        let mut text = String::new();
+        if self.csv.is_none() {
+            match std::fs::File::create(path) {
+                Ok(f) => self.csv = Some(f),
+                Err(e) => {
+                    eprintln!("warning: cannot create {}: {e}", path.display());
+                    return;
+                }
+            }
+            text = format!("{}\n", SimReport::csv_header());
+        }
+        text = text + &report.csv_row() + "\n";
+        let file = self.csv.as_mut().expect("created above");
+        if let Err(e) = file.write_all(text.as_bytes()) {
+            eprintln!("warning: cannot write {}: {e}", path.display());
         }
     }
 
@@ -487,8 +391,9 @@ impl Lab {
     /// plus `attacker` as one more core when set; the cell is keyed
     /// `<label>/<run name>` (see [`run_name`]). Probe collectors (epoch
     /// sampler, protocol auditor) attach only to fresh simulations; cache
-    /// recalls return the memoized report. In a sweep's planning pass an
-    /// uncached request joins the plan and gets a stand-in report (see
+    /// recalls return the memoized report. Outside a sweep an uncached
+    /// request runs as a one-cell pool campaign. In a sweep's planning
+    /// pass it joins the plan and gets a stand-in report (see
     /// [`Lab::sweep`]).
     pub fn run_on(
         &mut self,
@@ -504,11 +409,13 @@ impl Lab {
         if let Some(r) = self.cache.get(&key) {
             return r.clone();
         }
-        let spec = self.cell_spec(cfg, workload, key);
+        let spanning = self.spanning();
+        let spec = self.cell_spec(cfg, workload, key.clone());
         let Some(plan) = &mut self.plan else {
-            return self.execute(spec);
+            self.run_cells(vec![spec]);
+            return self.cache[&key].clone();
         };
-        let stand_in = spec.stand_in();
+        let stand_in = spec.stand_in(spanning);
         if plan.iter().all(|planned| planned.key != spec.key) {
             plan.push(spec);
         }
@@ -516,39 +423,70 @@ impl Lab {
     }
 
     /// Runs a lab driver, any function that asks [`Lab::run`] for reports,
-    /// and returns what it returns. At `jobs > 1` a planning pass of the
-    /// driver collects its uncached cells, the pool runs them, they are
-    /// recorded in plan order, and the driver runs again on a warm cache
-    /// (see the module docs). A cell that fails in the pool is listed in
-    /// the manifest `failures` section and re-run on the caller thread. At
-    /// `jobs <= 1` this just calls `driver`.
+    /// and returns what it returns. A planning pass of the driver collects
+    /// its uncached cells, they run as one pool campaign of
+    /// [`Lab::jobs`] workers and are recorded in plan order, and the
+    /// driver runs again on a warm cache. This is the one path at every
+    /// job count. A failed cell ends the process after the cells before it
+    /// are recorded (see the module docs).
     pub fn sweep<T>(&mut self, mut driver: impl FnMut(&mut Lab) -> T) -> T {
-        if self.jobs <= 1 {
-            return driver(self);
-        }
         self.plan = Some(Vec::new());
         driver(self);
         let cells = self.plan.take().unwrap_or_default();
-        if !cells.is_empty() {
-            let outcome = Pool::with_jobs(self.jobs).run(&cells, None);
-            self.runner_stats
-                .get_or_insert_with(RunnerStats::default)
-                .absorb(&outcome);
-            for f in &outcome.failures {
-                eprintln!(
-                    "warning: cell {} failed after {} attempt(s): {} (retrying serially)",
-                    f.id, f.attempts, f.error
-                );
-            }
-            self.pool_failures.extend(outcome.failures);
-            for (spec, result) in cells.into_iter().zip(outcome.results) {
-                match result {
-                    Some(run) => self.record(spec.key, run),
-                    None => self.execute(spec),
-                };
+        self.run_cells(cells);
+        driver(self)
+    }
+
+    /// Runs `specs` as one pool campaign, then walks the results in plan
+    /// order: each completed cell is recorded, and the first failed one
+    /// ends the process through [`Lab::fatal`].
+    fn run_cells(&mut self, specs: Vec<LabCellSpec>) {
+        if specs.is_empty() {
+            return;
+        }
+        let failed = AtomicBool::new(false);
+        let lab: &Lab = self;
+        let cells: Vec<LabCell> = specs
+            .iter()
+            .map(|spec| LabCell {
+                lab,
+                spec,
+                failed: &failed,
+            })
+            .collect();
+        let outcome = Pool::with_jobs(self.jobs).run(&cells, None);
+        self.runner_stats
+            .get_or_insert_with(RunnerStats::default)
+            .absorb(&outcome);
+        for (index, (spec, result)) in specs.into_iter().zip(outcome.results).enumerate() {
+            match result {
+                Some(CellRun::Done(run)) => self.record(spec.key, *run),
+                Some(CellRun::Skipped) => {}
+                Some(CellRun::Failed(error, epochs_jsonl)) => {
+                    let failure = CellFailure {
+                        index,
+                        id: spec.key,
+                        attempts: 1,
+                        error,
+                    };
+                    self.fatal(&failure, epochs_jsonl.as_deref())
+                }
+                // Only a panic, after the pool's retry, leaves no result.
+                None => {
+                    let failure = outcome
+                        .failures
+                        .iter()
+                        .find(|f| f.index == index)
+                        .expect("the pool lists every cell it could not complete");
+                    self.fatal(failure, None)
+                }
             }
         }
-        driver(self)
+    }
+
+    /// Whether runs carry the request-lifecycle span collector.
+    fn spanning(&self) -> bool {
+        self.attribution || self.trace_chrome.is_some()
     }
 
     /// Builds the plain-data execution spec for one cell. The wall-clock
@@ -556,7 +494,7 @@ impl Lab {
     /// hosts don't trip spurious aborts; the simulated-time idle budget is
     /// per-cell and deliberately unscaled.
     fn cell_spec(&self, mut cfg: SimConfig, workload: &str, key: String) -> LabCellSpec {
-        cfg.heartbeat_every = self.heartbeat_every;
+        cfg.heartbeat_every = self.verbose.then_some(HEARTBEAT_EVERY);
         // Fault injection arms the auditor (and its per-row ACT census) so
         // the security verdict has shadow state to compare against.
         cfg.audit = self.audit || self.fault_plan.is_some();
@@ -567,44 +505,39 @@ impl Lab {
         LabCellSpec {
             workload: workload.to_string(),
             cfg,
-            manifest_on: self.manifest.is_some(),
-            epoch_ps: self.epoch_ps,
-            spanning: self.attribution || self.trace_chrome.is_some(),
             chrome_path: self.chrome_path(&key),
-            fault_plan: self.fault_plan.clone(),
-            verbose: self.verbose,
             key,
         }
     }
 
-    /// Executes one cell: telemetry session, optional fault injector, the
-    /// simulation itself, and the section gathering — everything that
-    /// needs the run's live telemetry. Runs on the caller thread for
-    /// serial cells and on pool workers for pooled ones (each worker
-    /// builds its own `Telemetry`; the handle is single-threaded by
-    /// design and never crosses). On error, any partial epoch stream rides
-    /// along so the fatal path can still flush it.
-    fn execute_spec(spec: &LabCellSpec) -> Result<CompletedRun, (SimError, Option<String>)> {
-        if spec.verbose {
+    /// Executes one cell on a pool worker: telemetry session, optional
+    /// fault injector, the simulation itself, and the manifest record —
+    /// everything that needs the run's live telemetry. Each worker builds
+    /// its own `Telemetry`; the handle is single-threaded by design and
+    /// never crosses. On error, any partial epoch stream rides along so
+    /// the fatal path can still flush it.
+    fn execute_spec(&self, spec: &LabCellSpec) -> Result<CompletedRun, (SimError, Option<String>)> {
+        if self.verbose {
             progress::line(&format!("  running {} ...", spec.key));
         }
-        let probing = spec.epoch_ps.is_some() || spec.cfg.audit;
-        let mut telemetry = if spec.manifest_on || probing || spec.spanning {
+        let probing = self.epoch_ps.is_some() || spec.cfg.audit;
+        let spanning = self.spanning();
+        let mut telemetry = if self.manifest.is_some() || probing || spanning {
             Telemetry::enabled()
         } else {
             Telemetry::disabled()
         };
-        if let Some(ps) = spec.epoch_ps {
+        if let Some(ps) = self.epoch_ps {
             telemetry = telemetry.with_epochs(EpochSampler::new(ps));
         }
-        if spec.spanning {
+        if spanning {
             let mut spans = SpanCollector::new();
-            if let Some(sink) = Self::open_chrome(spec.chrome_path.as_deref(), spec.verbose) {
+            if let Some(sink) = Self::open_chrome(spec.chrome_path.as_deref(), self.verbose) {
                 spans = spans.with_chrome(sink);
             }
             telemetry = telemetry.with_spans(spans);
         }
-        let injector = spec
+        let injector = self
             .fault_plan
             .clone()
             .map(|plan| FaultInjector::new(plan, telemetry.clone()));
@@ -626,33 +559,44 @@ impl Lab {
         } else {
             0
         };
-        let sections = Self::collect_sections(&spec.cfg, &telemetry, injector.as_ref());
+        // Each optional section is attached only when its collector ran,
+        // so probe-off manifests stay byte-compatible with earlier ones.
+        let record = self.manifest.is_some().then(|| {
+            let mut run = Json::obj();
+            run.push("label", report.label.as_str())
+                .push("workload", report.workload.as_str())
+                .push("config", spec.cfg.to_json())
+                .push("report", report.to_json())
+                .push("telemetry", telemetry.to_json().unwrap_or(Json::Null));
+            if let Some(e) = telemetry.epochs_summary_json() {
+                run.push("epochs", e);
+            }
+            if spec.cfg.audit {
+                run.push("audit_violations", violations);
+            }
+            if let Some(injector) = &injector {
+                run.push("faults", injector.summary_json()).push(
+                    "security_verdict",
+                    Self::security_verdict(&spec.cfg, &telemetry),
+                );
+            }
+            run
+        });
         let epochs_jsonl = telemetry.epochs_jsonl();
         Self::flush_chrome(spec, &telemetry);
         Ok(CompletedRun {
-            cfg: spec.cfg.clone(),
             report,
-            sections,
+            record,
             violations,
             epochs_jsonl,
         })
     }
 
-    /// Executes one cell on the caller thread and records it; an error
-    /// ends the process through [`Lab::fatal`].
-    fn execute(&mut self, spec: LabCellSpec) -> SimReport {
-        match Self::execute_spec(&spec) {
-            Ok(run) => self.record(spec.key, run),
-            Err((err, epochs_jsonl)) => self.fatal(&spec.key, epochs_jsonl.as_deref(), &err),
-        }
-    }
-
     /// The serial bookkeeping every completed run goes through, in this
-    /// order: audit warning, epoch stream, manifest record, CSV append,
-    /// cache insert. Pooled runs pass through here in plan order, which
-    /// pins manifest grouping and CSV row order to the driver's call
-    /// order.
-    fn record(&mut self, key: String, run: CompletedRun) -> SimReport {
+    /// order: audit warning, epoch stream, manifest record, CSV row, cache
+    /// insert. Runs pass through here in plan order, which pins manifest
+    /// grouping and CSV row order to the driver's call order.
+    fn record(&mut self, key: String, run: CompletedRun) {
         if run.violations > 0 {
             eprintln!(
                 "warning: {key}: {} protocol violation(s) flagged",
@@ -663,31 +607,43 @@ impl Lab {
         if let Some(jsonl) = &run.epochs_jsonl {
             self.write_epoch_jsonl(&key, jsonl);
         }
-        self.push_manifest_run(&run.cfg, &run.report, run.sections);
-        self.append_csv(&run.report);
-        self.cache.insert(key, run.report.clone());
-        run.report
+        if let (Some(groups), Some(record)) = (&mut self.manifest, run.record) {
+            if groups.is_empty() {
+                groups.push(("ungrouped".to_string(), Vec::new()));
+            }
+            groups
+                .last_mut()
+                .expect("just ensured non-empty")
+                .1
+                .push(record);
+        }
+        self.write_csv_row(&run.report);
+        self.cache.insert(key, run.report);
     }
 
-    /// Terminal error path: flush what the run produced (epoch stream,
-    /// partial manifest) so a crashed sweep still leaves evidence on disk,
-    /// then exit with the error's dedicated code. Never returns. Sinks
-    /// were already flushed inside [`Lab::execute_spec`] before the error
-    /// propagated here; only the lab-level artifacts remain.
-    fn fatal(&self, key: &str, epochs_jsonl: Option<&str>, err: &SimError) -> ! {
-        eprintln!("error: {err}");
+    /// Terminal error path for the cell that ended its campaign: flush the
+    /// failed run's epoch stream and the partial manifest, which lists the
+    /// cell under `failures`, so a crashed sweep still leaves evidence on
+    /// disk, then exit with the error's dedicated code. Never returns. The
+    /// run flushed its Chrome trace before its error got here, and the CSV
+    /// rows of the recorded runs are already written.
+    fn fatal(&self, failure: &CellFailure, epochs_jsonl: Option<&str>) -> ! {
+        eprintln!("error: {}", failure.error);
         if let Some(jsonl) = epochs_jsonl {
-            self.write_epoch_jsonl(key, jsonl);
+            self.write_epoch_jsonl(&failure.id, jsonl);
         }
-        if let Some(path) = &self.manifest_path {
-            if self.manifest.is_some() {
-                match self.write_manifest(path) {
-                    Ok(()) => eprintln!("wrote partial manifest to {}", path.display()),
-                    Err(e) => eprintln!("warning: cannot write partial manifest: {e}"),
-                }
+        if let (Some(path), Some(mut doc)) = (&self.manifest_path, self.manifest_json()) {
+            let mut cell = Json::obj();
+            cell.push("cell", failure.id.as_str())
+                .push("attempts", u64::from(failure.attempts))
+                .push("error", failure.error.to_string());
+            doc.push("failures", Json::Arr(vec![cell]));
+            match std::fs::write(path, doc.to_string_pretty() + "\n") {
+                Ok(()) => eprintln!("wrote partial manifest to {}", path.display()),
+                Err(e) => eprintln!("warning: cannot write partial manifest: {e}"),
             }
         }
-        std::process::exit(i32::from(err.exit_code()));
+        std::process::exit(i32::from(failure.error.exit_code()));
     }
 
     /// Runs that the protocol auditor flagged, as `(mitigation/workload,
@@ -717,7 +673,7 @@ impl Lab {
         }
     }
 
-    /// Opens a Chrome trace sink at `path` (worker-safe: no `&self`).
+    /// Opens a Chrome trace sink at `path`.
     fn open_chrome(path: Option<&std::path::Path>, verbose: bool) -> Option<ChromeTraceSink> {
         let path = path?;
         match std::fs::File::create(path) {
@@ -918,40 +874,26 @@ mod tests {
         assert!(lab.manifest_json().is_none());
     }
 
+    /// `--csv` holds the header and this lab's rows, whatever the path
+    /// held before (here an earlier run's header and row); a cache recall
+    /// adds no row.
     #[test]
-    fn stale_csv_header_rotates_old_file_aside() {
-        let path = std::env::temp_dir().join(format!("mirza_lab_stale_{}.csv", std::process::id()));
-        let old = std::path::PathBuf::from(format!("{}.old", path.display()));
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&old);
-        std::fs::write(&path, "ancient,header,layout\n1,2,3\n").unwrap();
+    fn an_existing_csv_is_replaced() {
+        let path = std::env::temp_dir().join(format!("mirza_lab_csv_{}.csv", std::process::id()));
+        let old = format!("{}\nbaseline,mcf,1,2,3\n", SimReport::csv_header());
+        std::fs::write(&path, old).unwrap();
         let mut lab = Lab::new(Scale::smoke());
         lab.csv_path = Some(path.clone());
-        let _ = lab.run(MitigationConfig::None, "lbm");
-        let rotated = std::fs::read_to_string(&old).expect("stale file rotated to .old");
-        assert!(rotated.starts_with("ancient,header,layout"));
-        let fresh = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(fresh.lines().next(), Some(SimReport::csv_header()));
-        assert_eq!(fresh.lines().count(), 2, "header + one data row");
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&old);
-    }
-
-    #[test]
-    fn matching_csv_header_is_not_rotated() {
-        let path = std::env::temp_dir().join(format!("mirza_lab_keep_{}.csv", std::process::id()));
-        let old = std::path::PathBuf::from(format!("{}.old", path.display()));
-        let _ = std::fs::remove_file(&old);
-        let mut lab = Lab::new(Scale::smoke());
-        lab.csv_path = Some(path.clone());
-        let _ = lab.run(MitigationConfig::None, "lbm");
-        let _ = lab.run(MitigationConfig::None, "bc");
-        assert!(
-            !old.exists(),
-            "current-header file must be appended, not rotated"
-        );
+        let lbm = lab.run(MitigationConfig::None, "lbm");
+        let bc = lab.run(MitigationConfig::None, "bc");
+        let _ = lab.run(MitigationConfig::None, "lbm"); // cache recall
         let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 3, "header + two data rows");
+        let expected = [
+            SimReport::csv_header().to_string(),
+            lbm.csv_row(),
+            bc.csv_row(),
+        ];
+        assert_eq!(text.lines().collect::<Vec<_>>(), expected, "{text}");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1020,26 +962,5 @@ mod tests {
             attribution.get("conserved").unwrap(),
             &mirza_telemetry::Json::Bool(true)
         );
-    }
-
-    #[test]
-    fn csv_header_written_once_even_into_a_precreated_empty_file() {
-        let path = std::env::temp_dir().join(format!("mirza_lab_csv_{}.csv", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        // Pre-created empty file, as a shell redirect would leave behind:
-        // the old `!path.exists()` probe never wrote the header here.
-        std::fs::write(&path, "").unwrap();
-        let mut lab = Lab::new(Scale::smoke());
-        lab.csv_path = Some(path.clone());
-        let _ = lab.run(MitigationConfig::None, "lbm");
-        let _ = lab.run(MitigationConfig::None, "bc");
-        let text = std::fs::read_to_string(&path).unwrap();
-        let headers = text
-            .lines()
-            .filter(|l| *l == SimReport::csv_header())
-            .count();
-        assert_eq!(headers, 1, "exactly one header:\n{text}");
-        assert_eq!(text.lines().count(), 3, "header + two data rows");
-        let _ = std::fs::remove_file(&path);
     }
 }

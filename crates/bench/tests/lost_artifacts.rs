@@ -1,14 +1,17 @@
 //! `repro` must say when an artifact cannot be written, must not read from
 //! an output path that is not a regular file, and must not lose the
-//! manifest of a run its watchdog aborts. `/dev/full` stands in for a full
-//! disk: it accepts every open and fails every write.
+//! manifest of a run that a watchdog abort or a panicking cell ends.
+//! `/dev/full` stands in for a full disk: it accepts every open and fails
+//! every write.
 
 use std::io::Read as _;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
+use mirza_bench::lab::Lab;
 use mirza_bench::scale::Scale;
+use mirza_sim::config::{Attacker, MitigationConfig};
 use mirza_sim::report::SimReport;
 use mirza_telemetry::Json;
 
@@ -92,24 +95,109 @@ fn lab_warns_when_a_chrome_trace_is_lost() {
 
 /// A run that outlasts `--watchdog` ends the process with the watchdog's
 /// exit code, and the runs recorded so far still reach the manifest: one
-/// paper-scale Table-IV cell far outlasts a one-second budget.
+/// paper-scale Table-IV cell far outlasts a one-second budget. A failed
+/// simulation is not re-run, so at either job count one abort is printed
+/// and the manifest names the first cell of the plan.
 #[test]
 fn a_watchdog_abort_exits_6_and_keeps_the_partial_manifest() {
-    let dir = temp_dir("watchdog");
-    let (status, _, stderr) = repro(
-        &dir,
-        "table4 --full --quiet --jobs 1 --watchdog 1 --json m.json",
-    );
-    assert_eq!(status.code(), Some(6), "stderr:\n{stderr}");
-    assert!(stderr.contains("watchdog abort"), "stderr:\n{stderr}");
-    assert!(
-        stderr.contains("wrote partial manifest to m.json"),
-        "stderr:\n{stderr}"
-    );
-    let manifest = std::fs::read_to_string(dir.join("m.json")).expect("partial manifest written");
-    let doc = Json::parse(&manifest).expect("partial manifest parses");
-    assert!(doc.get("experiments").is_some(), "{manifest}");
-    let _ = std::fs::remove_dir_all(&dir);
+    for jobs in [1, 2] {
+        let dir = temp_dir(&format!("watchdog-j{jobs}"));
+        let (status, _, stderr) = repro(
+            &dir,
+            &format!("table4 --full --quiet --jobs {jobs} --watchdog 1 --json m.json"),
+        );
+        assert_eq!(status.code(), Some(6), "jobs {jobs}, stderr:\n{stderr}");
+        let aborts = stderr.lines().filter(|l| l.contains("watchdog abort"));
+        assert_eq!(aborts.count(), 1, "jobs {jobs}, stderr:\n{stderr}");
+        assert!(
+            stderr.contains("wrote partial manifest to m.json"),
+            "jobs {jobs}, stderr:\n{stderr}"
+        );
+        let manifest =
+            std::fs::read_to_string(dir.join("m.json")).expect("partial manifest written");
+        let doc = Json::parse(&manifest).expect("partial manifest parses");
+        assert!(doc.get("experiments").is_some(), "{manifest}");
+        assert_eq!(failed_cells(&doc), ["baseline/bc"], "jobs {jobs}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The cells a partial manifest lists under `failures`.
+fn failed_cells(doc: &Json) -> Vec<&str> {
+    let failures = doc.get("failures").and_then(Json::as_arr);
+    let failures = failures.expect("manifest has a failures section");
+    failures
+        .iter()
+        .map(|f| f.get("cell").and_then(Json::as_str).expect("cell id"))
+        .collect()
+}
+
+/// A lab cell that panics ends the process with the cell-panic exit code
+/// and leaves the partial manifest. No `repro` flag makes a cell panic, so
+/// the sweep runs in a child process, one of the ignored tests below: it
+/// asks for `lbm`, then for `bc` on zero benign cores beside an attacker,
+/// which trips the simulator's `benign > 0` assert inside the cell.
+#[test]
+fn a_panicking_lab_cell_exits_7_and_keeps_the_partial_manifest() {
+    for child in ["panicking_sweep_one_job", "panicking_sweep_two_jobs"] {
+        let dir = temp_dir(child);
+        let out = Command::new(std::env::current_exe().expect("test binary path"))
+            .args(["--exact", child, "--ignored"])
+            .env(PANIC_CHILD, "1")
+            .current_dir(&dir)
+            .output()
+            .expect("run the child test");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(7), "{child}, stderr:\n{stderr}");
+        let manifest =
+            std::fs::read_to_string(dir.join("m.json")).expect("partial manifest written");
+        let doc = Json::parse(&manifest).expect("partial manifest parses");
+        let runs = doc.get("experiments").and_then(Json::as_arr).unwrap()[0]
+            .get("runs")
+            .and_then(Json::as_arr)
+            .unwrap();
+        let workloads: Vec<_> = runs
+            .iter()
+            .map(|r| r.get("workload").and_then(Json::as_str))
+            .collect();
+        assert_eq!(workloads, [Some("lbm")], "{child}");
+        assert_eq!(failed_cells(&doc), ["baseline/bc x0+attack"], "{child}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Set by the panic test on its child, so that a run of the ignored tests
+/// alongside the others does not end the test process.
+const PANIC_CHILD: &str = "MIRZA_LAB_PANIC_CHILD";
+
+/// The child of the panic test: it ends its process with exit 7.
+fn panicking_sweep(jobs: usize) {
+    if std::env::var_os(PANIC_CHILD).is_none() {
+        return;
+    }
+    let mut lab = Lab::new(Scale::smoke());
+    lab.jobs = jobs;
+    lab.enable_manifest();
+    lab.manifest_path = Some(PathBuf::from("m.json"));
+    lab.begin_experiment("panic");
+    lab.sweep(|lab| {
+        lab.baseline("lbm");
+        let attacker = Attacker::figure12(&lab.scale().geometry());
+        lab.run_on(MitigationConfig::None, "bc", 0, Some(attacker));
+    });
+    unreachable!("the panicking cell ends the process");
+}
+
+#[test]
+#[ignore = "child process of a_panicking_lab_cell_exits_7_and_keeps_the_partial_manifest"]
+fn panicking_sweep_one_job() {
+    panicking_sweep(1);
+}
+
+#[test]
+#[ignore = "child process of a_panicking_lab_cell_exits_7_and_keeps_the_partial_manifest"]
+fn panicking_sweep_two_jobs() {
+    panicking_sweep(2);
 }
 
 /// A CSV path that is a pipe gets the header once and one row per run,

@@ -1,7 +1,7 @@
 //! Parallel-equivalence and crash-recovery tests for the supervised
-//! runner: outputs at any `--jobs` count must be bit-identical to the
-//! serial path, and a killed campaign must resume from its journal to the
-//! byte-identical artifact.
+//! runner: outputs must be bit-identical at any `--jobs` count, and a
+//! killed campaign must resume from its journal to the byte-identical
+//! artifact.
 
 use std::io::Read as _;
 use std::path::PathBuf;
@@ -37,14 +37,14 @@ fn small_spec(seed: u64) -> MatrixSpec {
 }
 
 /// The contract on the experiment path: lab sweeps at `jobs = 4` produce
-/// the byte-identical rendered tables, manifest run records and CSV the
-/// serial path does. The drivers ask for their cells in different orders:
+/// the byte-identical rendered tables, manifest run records and CSV that
+/// `jobs = 1` does. The drivers ask for their cells in different orders:
 /// table4 one column, fig11a workload-major across five columns (the
 /// baseline is cached by then), and ablation_queue config-major; dos_sim
 /// mixes core counts, 7 benign cores with and without an attacker. Every run
 /// section is deterministic, so the whole `experiments` array is compared;
 /// epochs and the auditor are armed so their sections take part. At
-/// `jobs = 4` every recorded run must have come from the pool.
+/// both job counts every recorded run must have come from the pool.
 #[test]
 fn lab_sweeps_are_bit_identical_across_job_counts() {
     type Driver = fn(&mut Lab) -> String;
@@ -83,17 +83,15 @@ fn lab_sweeps_are_bit_identical_across_job_counts() {
             .iter()
             .map(|e| e.get("runs").unwrap().as_arr().unwrap().len())
             .sum();
-        if jobs > 1 {
-            let pooled = manifest
-                .get("runner")
-                .and_then(|r| r.get("cells"))
-                .and_then(|c| c.as_u64());
-            assert_eq!(
-                pooled,
-                Some(recorded as u64),
-                "every recorded run must come from the pool"
-            );
-        }
+        let pooled = manifest
+            .get("runner")
+            .and_then(|r| r.get("cells"))
+            .and_then(|c| c.as_u64());
+        assert_eq!(
+            pooled,
+            Some(recorded as u64),
+            "jobs={jobs}: every recorded run must come from the pool"
+        );
         let csv = std::fs::read_to_string(&csv_path).expect("csv written");
         artifacts.push((tables, experiments_section.to_string_pretty(), csv));
     }

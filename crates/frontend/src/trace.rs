@@ -43,27 +43,14 @@ impl VecStream {
     /// A stream that repeats forever.
     ///
     /// # Panics
-    /// Panics if `ops` is empty. Use [`VecStream::try_looping`] for
-    /// untrusted input.
+    /// Panics if `ops` is empty.
     pub fn looping(ops: Vec<TraceOp>) -> Self {
-        Self::try_looping(ops).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`VecStream::looping`]: an empty trace is an error, not a
-    /// panic (`source` names the trace for the diagnostic).
-    pub fn try_looping(ops: Vec<TraceOp>) -> Result<Self, crate::error::SimError> {
-        if ops.is_empty() {
-            return Err(crate::error::SimError::TraceParse {
-                path: "<in-memory trace>".into(),
-                line: 0,
-                reason: "cannot loop an empty trace".into(),
-            });
-        }
-        Ok(VecStream {
+        assert!(!ops.is_empty(), "cannot loop an empty trace");
+        VecStream {
             ops,
             pos: 0,
             looping: true,
-        })
+        }
     }
 }
 
@@ -114,12 +101,5 @@ mod tests {
     #[should_panic(expected = "empty")]
     fn empty_loop_panics() {
         let _ = VecStream::looping(vec![]);
-    }
-
-    #[test]
-    fn try_looping_reports_empty_trace_as_error() {
-        let err = VecStream::try_looping(vec![]).unwrap_err();
-        assert!(err.to_string().contains("empty"), "{err}");
-        assert!(VecStream::try_looping(vec![op(1)]).is_ok());
     }
 }

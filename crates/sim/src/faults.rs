@@ -325,11 +325,6 @@ impl FaultInjector {
         self.inner.borrow().injected
     }
 
-    /// Total injection attempts (including no-ops on empty structures).
-    pub fn total_attempted(&self) -> u64 {
-        self.inner.borrow().attempted
-    }
-
     /// Manifest summary: plan identity, totals, applied counts per kind.
     pub fn summary_json(&self) -> Json {
         let inner = self.inner.borrow();

@@ -25,13 +25,39 @@ fn controller(bat: Option<u32>) -> MemController {
     MemController::new(device, McConfig { rfm_bat: bat }, 0)
 }
 
+/// The paper's geometry, the scaled banks of `Scale::fast()` (4096 rows)
+/// and `Scale::smoke()` (2048 rows), and the paper's geometry on two
+/// ranks.
+fn geometries() -> [Geometry; 4] {
+    let paper = Geometry::ddr5_32gb();
+    [
+        paper,
+        Geometry {
+            rows_per_bank: 4096,
+            ..paper
+        },
+        Geometry {
+            rows_per_bank: 2048,
+            ..paper
+        },
+        Geometry { ranks: 2, ..paper },
+    ]
+}
+
 proptest! {
-    /// MOP4 decode/encode round-trips at any line-aligned address.
+    /// MOP4 decode/encode round-trips at any line-aligned address of every
+    /// geometry, and decodes to coordinates inside it.
     #[test]
-    fn mop4_round_trip(line in 0u64..(32u64 << 30) / 64) {
-        let m = AddressMapper::mop4(Geometry::ddr5_32gb());
-        let pa = line * 64;
-        prop_assert_eq!(m.encode(&m.decode(pa)), pa);
+    fn mop4_round_trip(which in 0usize..4, frac in 0u64..1 << 40) {
+        let geom = geometries()[which];
+        let m = AddressMapper::mop4(geom);
+        let lines = m.capacity() / 64;
+        let pa = (frac % lines) * 64;
+        let a = m.decode(pa);
+        prop_assert!(a.bank.subch < geom.subchannels && a.bank.rank < geom.ranks);
+        prop_assert!(a.bank.bank < geom.banks && a.row < geom.rows_per_bank);
+        prop_assert!(a.col < geom.lines_per_row());
+        prop_assert_eq!(m.encode(&a), pa);
     }
 
     /// Four consecutive lines always share a bank and row (the MOP group).

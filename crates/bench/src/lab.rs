@@ -117,11 +117,22 @@ struct RunnerStats {
 }
 
 impl RunnerStats {
-    fn absorb<T>(&mut self, outcome: &mirza_runner::Outcome<T>) {
+    /// Adds one campaign. `cells` counts the cells that ran, not those
+    /// skipped after a failure; `failures` counts the cell that ended the
+    /// run, a simulation error or a panic, the one [`Lab::fatal`] names.
+    fn absorb(&mut self, outcome: &mirza_runner::Outcome<CellRun>) {
         self.campaigns += 1;
-        self.cells += outcome.results.len() as u64;
+        let ran = outcome
+            .results
+            .iter()
+            .filter(|r| !matches!(r, Some(CellRun::Skipped)));
+        self.cells += ran.count() as u64;
         self.retries += outcome.retries;
-        self.failures += outcome.failures.len() as u64;
+        let failed = outcome
+            .results
+            .iter()
+            .any(|r| !matches!(r, Some(CellRun::Done(_) | CellRun::Skipped)));
+        self.failures += u64::from(failed);
         self.wall_secs += outcome.wall.as_secs_f64();
         if self.per_worker.len() < outcome.per_worker.len() {
             self.per_worker.resize(outcome.per_worker.len(), 0);

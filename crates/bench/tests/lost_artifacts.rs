@@ -118,6 +118,12 @@ fn a_watchdog_abort_exits_6_and_keeps_the_partial_manifest() {
         let doc = Json::parse(&manifest).expect("partial manifest parses");
         assert!(doc.get("experiments").is_some(), "{manifest}");
         assert_eq!(failed_cells(&doc), ["baseline/bc"], "jobs {jobs}");
+        // Each worker started one cell before the first failed; the
+        // rest were skipped, and only the failed cell ended the run.
+        let runner = doc.get("runner").expect("runner section");
+        let count = |key| runner.get(key).and_then(Json::as_u64);
+        assert_eq!(count("cells"), Some(jobs), "jobs {jobs}: {manifest}");
+        assert_eq!(count("failures"), Some(1), "jobs {jobs}: {manifest}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

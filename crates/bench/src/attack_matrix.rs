@@ -355,14 +355,13 @@ pub struct MatrixRunConfig {
 }
 
 /// A supervised sweep: the (possibly partial) result in canonical order,
-/// plus whatever failed after retry and how many cells the journal
-/// replayed.
+/// plus the cells that failed and how many cells the journal replayed.
 #[derive(Debug)]
 pub struct MatrixOutcome {
     /// Completed cells, canonical enumeration order.
     pub result: MatrixResult,
-    /// Cells that failed after the pool's bounded retry, enumeration
-    /// order. Non-empty means `result` is partial (degraded campaign).
+    /// Cells that failed (a panic or a typed error), enumeration order.
+    /// Non-empty means `result` is partial (degraded campaign).
     pub failures: Vec<CellFailure>,
     /// Cells replayed from the journal instead of re-run.
     pub resumed: usize,
@@ -569,7 +568,7 @@ pub fn run_matrix_supervised(
         }
     };
     let outcome = Pool::with_jobs(cfg.jobs.max(1)).run(&pending, Some(&checkpoint));
-    outcome.record(telemetry, resumed as u64);
+    outcome.record(telemetry);
     let mut failures = Vec::new();
     for f in outcome.failures {
         failures.push(CellFailure {
@@ -609,7 +608,7 @@ pub fn run_matrix_supervised(
             }
         }
         // Degraded: the journal stays on disk; `--resume` replays its
-        // completed cells and retries only the failures.
+        // completed cells and runs only the failed ones again.
     }
     MatrixOutcome {
         result: MatrixResult {

@@ -58,17 +58,17 @@
 //! supervised work-pool (default: `available_parallelism`; `--jobs 1` is
 //! a pool of one worker on the main thread, not a separate serial path).
 //! Output is bit-identical at any job count — results merge into canonical
-//! enumeration order before anything is written. A lab cell that fails
-//! ends the run the same way at any job count: the runs recorded before it
-//! keep their CSV rows, the partial manifest lists it under `failures`,
-//! and the process exits with its error's code (a panicking cell exits 7).
+//! enumeration order before anything is written. The pool runs every cell
+//! once. A lab cell that fails, by an error or a panic, ends the run the
+//! same way at any job count: the runs recorded before it keep their CSV
+//! rows, the partial manifest lists it under `failures`, and the process
+//! exits with its error's code (a panicking cell exits 7).
 //! The attack matrix checkpoints each completed cell into
 //! `<csv>.journal.jsonl` (fsync'd); after a crash or kill, `--resume`
 //! replays the journal's completed cells and schedules only the remainder,
-//! and the journal is deleted on a fully-successful run. Cells that still
-//! fail after the pool's bounded retry degrade the campaign: partial
-//! outputs are written, the failures are listed (and recorded in the
-//! manifest `failures` section), and the process exits 7.
+//! and the journal is deleted on a fully-successful run. Failed cells
+//! degrade the campaign: the other cells still run, partial outputs are
+//! written, the failures are listed, and the process exits 7.
 //!
 //! Exit codes mirror `SimError`: 0 success, 1 usage/comparison failure,
 //! 2 unknown workload, 3 trace parse, 4 config, 5 I/O, 6 watchdog,
@@ -222,9 +222,9 @@ fn replay_trace(path: &std::path::Path, scale: Scale, watchdog: Option<u64>) -> 
 /// event stream next to it, and — with `--json` — a manifest-style
 /// summary. Fully deterministic for a fixed `--seed` at any `--jobs`
 /// count. Every completed cell is checkpointed into a journal next to the
-/// CSV; `--resume` replays it after a crash. A campaign with cells that
-/// still fail after retry writes partial outputs, keeps the journal for
-/// `--resume`, and exits 7.
+/// CSV; `--resume` replays it after a crash. A campaign with failed
+/// cells writes partial outputs, keeps the journal for `--resume`, and
+/// exits 7.
 fn attack_matrix_cmd(
     scale: Scale,
     csv: Option<std::path::PathBuf>,
@@ -298,13 +298,13 @@ fn attack_matrix_cmd(
     }
     if !outcome.complete() {
         eprintln!(
-            "error: {} cell(s) failed after retry; partial outputs written, \
+            "error: {} cell(s) failed; partial outputs written, \
              journal kept at {} (rerun with --resume):",
             outcome.failures.len(),
             journal_path.display()
         );
         for f in &outcome.failures {
-            eprintln!("  {} ({} attempt(s)): {}", f.id, f.attempts, f.error);
+            eprintln!("  {}: {}", f.id, f.error);
         }
         // Exit with the CellPanic code: the campaign is degraded, not dead.
         return ExitCode::from(

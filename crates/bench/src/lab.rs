@@ -19,12 +19,13 @@
 //! outside a sweep does: the same output, with less parallelism.
 //!
 //! A failing cell ends the process the same way at any job count. A
-//! simulation error is the cell's outcome, so the pool never re-runs it;
-//! only a panic gets the pool's one retry. Once a cell has failed, the
+//! simulation error is the pool's failure for that cell, as a panic is,
+//! and the pool runs every cell once. Once a simulation has failed, the
 //! campaign's cells that have not started return without running. The
 //! completed cells before the first failed one in plan order are
-//! recorded, and the failure exits with its error's code (a panic exits
-//! 7), leaving the partial manifest with the cell under `failures`.
+//! recorded, and the failure exits with its error's code (a watchdog
+//! abort exits 6, a panic 7), leaving the partial manifest with the cell
+//! under `failures`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -35,7 +36,7 @@ use mirza_dram::mitigation::MitigationStats;
 use mirza_dram::stats::DeviceStats;
 use mirza_dram::time::Ps;
 use mirza_memctrl::request::McStats;
-use mirza_runner::{scale_wall_budget, Cell, CellFailure, Pool};
+use mirza_runner::{scale_wall_budget, Cell, CellFailure, Outcome, Pool};
 use mirza_sim::config::{Attacker, MitigationConfig, SimConfig};
 use mirza_sim::faults::{FaultInjector, FaultPlan};
 use mirza_sim::report::SimReport;
@@ -110,36 +111,20 @@ pub struct Lab {
 struct RunnerStats {
     campaigns: u64,
     cells: u64,
-    retries: u64,
     failures: u64,
     wall_secs: f64,
-    per_worker: Vec<u64>,
 }
 
 impl RunnerStats {
     /// Adds one campaign. `cells` counts the cells that ran, not those
     /// skipped after a failure; `failures` counts the cell that ended the
     /// run, a simulation error or a panic, the one [`Lab::fatal`] names.
-    fn absorb(&mut self, outcome: &mirza_runner::Outcome<CellRun>) {
+    fn absorb(&mut self, outcome: &Outcome<Option<CompletedRun>>) {
         self.campaigns += 1;
-        let ran = outcome
-            .results
-            .iter()
-            .filter(|r| !matches!(r, Some(CellRun::Skipped)));
+        let ran = outcome.results.iter().filter(|r| !matches!(r, Some(None)));
         self.cells += ran.count() as u64;
-        self.retries += outcome.retries;
-        let failed = outcome
-            .results
-            .iter()
-            .any(|r| !matches!(r, Some(CellRun::Done(_) | CellRun::Skipped)));
-        self.failures += u64::from(failed);
+        self.failures += u64::from(!outcome.complete());
         self.wall_secs += outcome.wall.as_secs_f64();
-        if self.per_worker.len() < outcome.per_worker.len() {
-            self.per_worker.resize(outcome.per_worker.len(), 0);
-        }
-        for (slot, cells) in outcome.per_worker.iter().enumerate() {
-            self.per_worker[slot] += cells;
-        }
     }
 
     fn to_json(&self, jobs: usize) -> Json {
@@ -147,13 +132,8 @@ impl RunnerStats {
         doc.push("jobs", jobs as u64)
             .push("campaigns", self.campaigns)
             .push("cells", self.cells)
-            .push("retries", self.retries)
             .push("failures", self.failures)
-            .push("wall_secs", self.wall_secs)
-            .push(
-                "per_worker",
-                Json::Arr(self.per_worker.iter().map(|&c| Json::U64(c)).collect()),
-            );
+            .push("wall_secs", self.wall_secs);
         doc
     }
 }
@@ -198,43 +178,33 @@ impl LabCellSpec {
 }
 
 /// A cell of one campaign: its spec, the lab it runs under, and the
-/// campaign's flag that a cell has failed.
+/// campaign's flag that a simulation has failed.
 struct LabCell<'a> {
     lab: &'a Lab,
     spec: &'a LabCellSpec,
     failed: &'a AtomicBool,
 }
 
-/// What a campaign cell came to.
-enum CellRun {
-    Done(Box<CompletedRun>),
-    /// The simulation's error, with any partial epoch stream so that
-    /// [`Lab::fatal`] can still flush it.
-    Failed(SimError, Option<String>),
-    /// Not started: another cell of the campaign had failed.
-    Skipped,
-}
-
 impl Cell for LabCell<'_> {
-    type Out = CellRun;
+    /// `None` when the cell did not start: another cell of the campaign
+    /// had failed.
+    type Out = Option<CompletedRun>;
 
     fn id(&self) -> String {
         self.spec.key.clone()
     }
 
-    /// A simulation error is returned as the cell's outcome, not as a
-    /// pool failure: a rerun would fail the same way.
-    fn run(&self) -> Result<CellRun, SimError> {
+    /// A simulation error is the cell's pool failure, as a panic is, and
+    /// raises the campaign's flag.
+    fn run(&self) -> Result<Option<CompletedRun>, SimError> {
         if self.failed.load(Ordering::Relaxed) {
-            return Ok(CellRun::Skipped);
+            return Ok(None);
         }
-        Ok(match self.lab.execute_spec(self.spec) {
-            Ok(run) => CellRun::Done(Box::new(run)),
-            Err((err, epochs_jsonl)) => {
-                self.failed.store(true, Ordering::Relaxed);
-                CellRun::Failed(err, epochs_jsonl)
-            }
-        })
+        let run = self.lab.execute_spec(self.spec);
+        if run.is_err() {
+            self.failed.store(true, Ordering::Relaxed);
+        }
+        run.map(Some)
     }
 }
 
@@ -469,29 +439,14 @@ impl Lab {
         self.runner_stats
             .get_or_insert_with(RunnerStats::default)
             .absorb(&outcome);
-        for (index, (spec, result)) in specs.into_iter().zip(outcome.results).enumerate() {
-            match result {
-                Some(CellRun::Done(run)) => self.record(spec.key, *run),
-                Some(CellRun::Skipped) => {}
-                Some(CellRun::Failed(error, epochs_jsonl)) => {
-                    let failure = CellFailure {
-                        index,
-                        id: spec.key,
-                        attempts: 1,
-                        error,
-                    };
-                    self.fatal(&failure, epochs_jsonl.as_deref())
-                }
-                // Only a panic, after the pool's retry, leaves no result.
-                None => {
-                    let failure = outcome
-                        .failures
-                        .iter()
-                        .find(|f| f.index == index)
-                        .expect("the pool lists every cell it could not complete");
-                    self.fatal(failure, None)
-                }
+        let end = outcome.failures.first().map_or(specs.len(), |f| f.index);
+        for (spec, result) in specs.into_iter().zip(outcome.results).take(end) {
+            if let Some(Some(run)) = result {
+                self.record(spec.key, run);
             }
+        }
+        if let Some(failure) = outcome.failures.first() {
+            self.fatal(failure);
         }
     }
 
@@ -525,9 +480,9 @@ impl Lab {
     /// fault injector, the simulation itself, and the manifest record —
     /// everything that needs the run's live telemetry. Each worker builds
     /// its own `Telemetry`; the handle is single-threaded by design and
-    /// never crosses. On error, any partial epoch stream rides along so
-    /// the fatal path can still flush it.
-    fn execute_spec(&self, spec: &LabCellSpec) -> Result<CompletedRun, (SimError, Option<String>)> {
+    /// never crosses. A failed run writes its partial epoch stream and
+    /// flushes its Chrome trace before it returns the error.
+    fn execute_spec(&self, spec: &LabCellSpec) -> Result<CompletedRun, SimError> {
         if self.verbose {
             progress::line(&format!("  running {} ...", spec.key));
         }
@@ -560,9 +515,11 @@ impl Lab {
         ) {
             Ok(r) => r,
             Err(err) => {
-                let epochs = telemetry.epochs_jsonl();
+                if let Some(jsonl) = telemetry.epochs_jsonl() {
+                    self.write_epoch_jsonl(&spec.key, &jsonl);
+                }
                 Self::flush_chrome(spec, &telemetry);
-                return Err((err, epochs));
+                return Err(err);
             }
         };
         let violations = if spec.cfg.audit {
@@ -633,20 +590,16 @@ impl Lab {
     }
 
     /// Terminal error path for the cell that ended its campaign: flush the
-    /// failed run's epoch stream and the partial manifest, which lists the
-    /// cell under `failures`, so a crashed sweep still leaves evidence on
-    /// disk, then exit with the error's dedicated code. Never returns. The
-    /// run flushed its Chrome trace before its error got here, and the CSV
-    /// rows of the recorded runs are already written.
-    fn fatal(&self, failure: &CellFailure, epochs_jsonl: Option<&str>) -> ! {
+    /// partial manifest, which lists the cell under `failures`, so a
+    /// crashed sweep still leaves evidence on disk, then exit with the
+    /// error's dedicated code. Never returns. A failed simulation wrote its
+    /// partial epoch stream and Chrome trace before its error got here,
+    /// and the CSV rows of the recorded runs are already written.
+    fn fatal(&self, failure: &CellFailure) -> ! {
         eprintln!("error: {}", failure.error);
-        if let Some(jsonl) = epochs_jsonl {
-            self.write_epoch_jsonl(&failure.id, jsonl);
-        }
         if let (Some(path), Some(mut doc)) = (&self.manifest_path, self.manifest_json()) {
             let mut cell = Json::obj();
             cell.push("cell", failure.id.as_str())
-                .push("attempts", u64::from(failure.attempts))
                 .push("error", failure.error.to_string());
             doc.push("failures", Json::Arr(vec![cell]));
             match std::fs::write(path, doc.to_string_pretty() + "\n") {

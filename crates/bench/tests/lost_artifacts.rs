@@ -142,34 +142,51 @@ fn failed_cells(doc: &Json) -> Vec<&str> {
 /// and leaves the partial manifest. No `repro` flag makes a cell panic, so
 /// the sweep runs in a child process, one of the ignored tests below: it
 /// asks for `lbm`, then for `bc` on zero benign cores beside an attacker,
-/// which trips the simulator's `benign > 0` assert inside the cell.
+/// which trips the simulator's `benign > 0` assert inside the cell. The
+/// pool runs the panicking cell once, so its panic is printed once.
 #[test]
 fn a_panicking_lab_cell_exits_7_and_keeps_the_partial_manifest() {
     for child in ["panicking_sweep_one_job", "panicking_sweep_two_jobs"] {
-        let dir = temp_dir(child);
-        let out = Command::new(std::env::current_exe().expect("test binary path"))
-            .args(["--exact", child, "--ignored"])
-            .env(PANIC_CHILD, "1")
-            .current_dir(&dir)
-            .output()
-            .expect("run the child test");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(7), "{child}, stderr:\n{stderr}");
-        let manifest =
-            std::fs::read_to_string(dir.join("m.json")).expect("partial manifest written");
-        let doc = Json::parse(&manifest).expect("partial manifest parses");
-        let runs = doc.get("experiments").and_then(Json::as_arr).unwrap()[0]
-            .get("runs")
-            .and_then(Json::as_arr)
-            .unwrap();
-        let workloads: Vec<_> = runs
-            .iter()
-            .map(|r| r.get("workload").and_then(Json::as_str))
-            .collect();
-        assert_eq!(workloads, [Some("lbm")], "{child}");
+        let doc = run_panicking_child(child);
+        assert_eq!(recorded_workloads(&doc), ["lbm"], "{child}");
         assert_eq!(failed_cells(&doc), ["baseline/bc x0+attack"], "{child}");
-        let _ = std::fs::remove_dir_all(&dir);
+        let failures = doc.get("failures").and_then(Json::as_arr).unwrap();
+        let Json::Obj(entry) = &failures[0] else {
+            panic!("{child}: a failures entry is an object");
+        };
+        let keys: Vec<&str> = entry.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(keys, ["cell", "error"], "{child}");
     }
+}
+
+/// Runs `child`, one of the ignored panicking sweeps below, in a temp dir,
+/// checks that it exits 7 after one printed panic, and returns its partial
+/// manifest.
+fn run_panicking_child(child: &str) -> Json {
+    let dir = temp_dir(child);
+    let out = Command::new(std::env::current_exe().expect("test binary path"))
+        .args(["--exact", child, "--ignored", "--nocapture"])
+        .env(PANIC_CHILD, "1")
+        .current_dir(&dir)
+        .output()
+        .expect("run the child test");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(7), "{child}, stderr:\n{stderr}");
+    let panics = stderr.lines().filter(|l| l.contains("panicked at"));
+    assert_eq!(panics.count(), 1, "{child}, stderr:\n{stderr}");
+    let manifest = std::fs::read_to_string(dir.join("m.json")).expect("partial manifest written");
+    let doc = Json::parse(&manifest).expect("partial manifest parses");
+    let _ = std::fs::remove_dir_all(&dir);
+    doc
+}
+
+/// The workloads of the runs a partial manifest recorded.
+fn recorded_workloads(doc: &Json) -> Vec<&str> {
+    let experiments = doc.get("experiments").and_then(Json::as_arr).unwrap();
+    let runs = experiments[0].get("runs").and_then(Json::as_arr).unwrap();
+    runs.iter()
+        .map(|r| r.get("workload").and_then(Json::as_str).expect("workload"))
+        .collect()
 }
 
 /// Set by the panic test on its child, so that a run of the ignored tests

@@ -67,8 +67,8 @@ pub enum SimError {
     },
     /// A sweep cell panicked inside a supervised worker. The pool catches
     /// the unwind, records this typed error against the cell, and keeps the
-    /// campaign alive; a campaign that ends with unrecovered cell failures
-    /// exits with this variant's code ("degraded", not "dead").
+    /// campaign alive; a campaign that ends with failed cells exits with
+    /// this variant's code ("degraded", not "dead").
     CellPanic {
         /// Stable id of the poisoned cell.
         cell: String,

@@ -163,11 +163,6 @@ impl Journal {
         file.sync_data()
     }
 
-    /// Journal file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// Deletes the journal after a fully-successful campaign; a journal
     /// left on disk always marks an interrupted or degraded run.
     pub fn finalize(self) -> std::io::Result<()> {

@@ -6,8 +6,8 @@
 //! crate runs those cells on hand-rolled scoped `std::thread` workers with
 //! the robustness-first contract paper-scale campaigns need:
 //!
-//! * [`pool`] — the work-pool: [`Cell`] trait, panic isolation via
-//!   `catch_unwind`, bounded retry, nondeterministic completion with
+//! * [`pool`] — the work-pool: [`Cell`] trait, each cell run once with
+//!   panic isolation via `catch_unwind`, nondeterministic completion with
 //!   **deterministic reduction** (merge by canonical enumeration index), so
 //!   parallel output is bit-identical to serial at any `--jobs` count.
 //! * [`journal`] — the checkpoint journal: one fsync'd JSONL record per

@@ -1,5 +1,5 @@
 //! Supervision contract tests: deterministic reduction at any job count,
-//! panic isolation, bounded retry, and journal crash tolerance.
+//! panic isolation, one run per cell, and journal crash tolerance.
 
 use mirza_frontend::error::SimError;
 use mirza_runner::{cell_hash, parse_journal, Cell, Pool, JOURNAL_SCHEMA};
@@ -42,11 +42,6 @@ fn reduction_is_deterministic_across_job_counts() {
             serial.results, parallel.results,
             "jobs={jobs} must reduce bit-identically to serial"
         );
-        assert_eq!(
-            parallel.per_worker.iter().sum::<u64>(),
-            64,
-            "every cell ran exactly once"
-        );
     }
 }
 
@@ -87,10 +82,6 @@ fn injected_panic_surfaces_in_failures_without_poisoning_neighbors() {
         let failure = &outcome.failures[0];
         assert_eq!(failure.index, 5);
         assert_eq!(failure.id, "panic-test/5");
-        assert_eq!(
-            failure.attempts, 2,
-            "a panic is retried once before being recorded"
-        );
         match &failure.error {
             SimError::CellPanic { cell, payload } => {
                 assert_eq!(cell, "panic-test/5");
@@ -110,64 +101,64 @@ fn injected_panic_surfaces_in_failures_without_poisoning_neighbors() {
     std::panic::set_hook(prev);
 }
 
-/// Fails with a watchdog error on its first attempt, succeeds on retry —
-/// the transient-wedge shape the bounded retry exists for.
-struct FlakyCell {
-    attempts_seen: AtomicU32,
+/// How a [`FailingCell`] fails.
+#[derive(Debug, Clone, Copy)]
+enum Failure {
+    Panic,
+    Watchdog,
+    Config,
 }
 
-impl Cell for FlakyCell {
-    type Out = u32;
+/// A cell that fails the same way every time and counts its runs.
+struct FailingCell {
+    failure: Failure,
+    runs: AtomicU32,
+}
+
+impl Cell for FailingCell {
+    type Out = ();
     fn id(&self) -> String {
-        "flaky/0".into()
+        format!("failing/{:?}", self.failure)
     }
-    fn run(&self) -> Result<u32, SimError> {
-        let attempt = self.attempts_seen.fetch_add(1, Ordering::SeqCst) + 1;
-        if attempt == 1 {
-            Err(SimError::Watchdog {
-                reason: "transient wedge".into(),
+    fn run(&self) -> Result<(), SimError> {
+        self.runs.fetch_add(1, Ordering::SeqCst);
+        match self.failure {
+            Failure::Panic => panic!("injected poison"),
+            Failure::Watchdog => Err(SimError::Watchdog {
+                reason: "wedged".into(),
                 instructions: 0,
                 sim_time_ps: 0,
-            })
-        } else {
-            Ok(attempt)
+            }),
+            Failure::Config => Err(SimError::Config {
+                key: "k".into(),
+                reason: "always invalid".into(),
+            }),
         }
     }
 }
 
+/// A cell is deterministic, so the pool runs it once whatever its failure:
+/// a rerun would fail the same way.
 #[test]
-fn transient_watchdog_failure_is_retried_and_recovers() {
-    let cells = [FlakyCell {
-        attempts_seen: AtomicU32::new(0),
-    }];
-    let outcome = Pool::with_jobs(4).run(&cells, None);
-    assert!(outcome.complete());
-    assert_eq!(outcome.retries, 1);
-    assert_eq!(outcome.results[0], Some(2), "second attempt's result wins");
-}
-
-/// Deterministic input errors must fail fast, not burn the retry budget.
-struct ConfigErrCell;
-
-impl Cell for ConfigErrCell {
-    type Out = ();
-    fn id(&self) -> String {
-        "badcfg/0".into()
+fn a_failing_cell_runs_once() {
+    for jobs in [1, 4] {
+        let cells =
+            [Failure::Panic, Failure::Watchdog, Failure::Config].map(|failure| FailingCell {
+                failure,
+                runs: AtomicU32::new(0),
+            });
+        let outcome = Pool::with_jobs(jobs).run(&cells, None);
+        let codes: Vec<_> = outcome
+            .failures
+            .iter()
+            .map(|f| f.error.exit_code())
+            .collect();
+        assert_eq!(codes, [7, 6, 4], "jobs {jobs}");
+        for cell in &cells {
+            let runs = cell.runs.load(Ordering::SeqCst);
+            assert_eq!(runs, 1, "jobs {jobs}: {} ran {runs} times", cell.id());
+        }
     }
-    fn run(&self) -> Result<(), SimError> {
-        Err(SimError::Config {
-            key: "k".into(),
-            reason: "always invalid".into(),
-        })
-    }
-}
-
-#[test]
-fn deterministic_errors_fail_fast_without_retry() {
-    let outcome = Pool::with_jobs(2).run(&[ConfigErrCell], None);
-    assert_eq!(outcome.retries, 0);
-    assert_eq!(outcome.failures.len(), 1);
-    assert_eq!(outcome.failures[0].attempts, 1);
 }
 
 #[test]

@@ -115,33 +115,15 @@ pub const MIRZAQ_TARDINESS_AT_DRAIN: &str = "mirzaq.tardiness_at_drain";
 
 // --- Supervised work-pool metrics (mirza-runner, recorded reducer-side) ---
 
-/// Gauge (as counter): worker slots the pool actually spawned.
-pub const RUNNER_WORKERS: &str = "runner.workers";
 /// Counter: cells that completed successfully.
 pub const RUNNER_CELLS_COMPLETED: &str = "runner.cells_completed";
-/// Counter: retry attempts scheduled beyond first attempts.
+/// Counter: cell re-runs. The pool runs every cell once and records
+/// none, so it reads 0; the benchmark in `benchsuite/` still reads it.
 pub const RUNNER_CELLS_RETRIED: &str = "runner.cells_retried";
-/// Counter: cells that failed after supervision (exhausted retries or
-/// deterministic errors).
+/// Counter: cells that panicked or returned an error.
 pub const RUNNER_CELLS_FAILED: &str = "runner.cells_failed";
-/// Counter: cells replayed from a checkpoint journal instead of re-run.
-pub const RUNNER_CELLS_RESUMED: &str = "runner.cells_resumed";
 /// Histogram: per-cell wall clock, in microseconds.
 pub const RUNNER_CELL_WALL_US: &str = "runner.cell_wall_us";
-
-/// Counters: cells executed per worker slot (first 8 slots get named
-/// series, mirroring [`CORE_INSTR`]; slots past the table still count
-/// toward [`RUNNER_CELLS_COMPLETED`]).
-pub const RUNNER_WORKER_CELLS: [&str; 8] = [
-    "worker00.cells",
-    "worker01.cells",
-    "worker02.cells",
-    "worker03.cells",
-    "worker04.cells",
-    "worker05.cells",
-    "worker06.cells",
-    "worker07.cells",
-];
 
 // --- Structured event kinds ---
 
@@ -161,16 +143,15 @@ pub const EV_PROTOCOL_VIOLATION: &str = "protocol_violation";
 pub const EV_FAULT_INJECTED: &str = "fault_injected";
 /// One attack-matrix cell completed.
 pub const EV_ATTACK_CELL: &str = "attack_cell";
-/// A supervised sweep cell failed after retries (panic, watchdog, or
-/// deterministic error); the campaign continued degraded.
+/// A supervised sweep cell failed (a panic or a typed error, such as a
+/// watchdog abort); the campaign continued degraded.
 pub const EV_CELL_FAILED: &str = "cell_failed";
 
 /// Component prefixes a metric name may carry (`<component>.<metric>`).
 pub const METRIC_COMPONENTS: &[&str] = &[
     "mc", "dram", "sim", "llc", "core", "audit", "faults", "rct", "mirza", "mirzaq", "runner",
     "core00", "core01", "core02", "core03", "core04", "core05", "core06", "core07", "core08",
-    "core09", "core10", "core11", "core12", "core13", "core14", "core15", "worker00", "worker01",
-    "worker02", "worker03", "worker04", "worker05", "worker06", "worker07",
+    "core09", "core10", "core11", "core12", "core13", "core14", "core15",
 ];
 
 /// Every registered metric name (used by the uniqueness test and by tools
@@ -219,20 +200,10 @@ pub const ALL_METRICS: &[&str] = &[
     MIRZA_MITIGATIONS,
     MIRZAQ_OCCUPANCY_AT_DRAIN,
     MIRZAQ_TARDINESS_AT_DRAIN,
-    RUNNER_WORKERS,
     RUNNER_CELLS_COMPLETED,
     RUNNER_CELLS_RETRIED,
     RUNNER_CELLS_FAILED,
-    RUNNER_CELLS_RESUMED,
     RUNNER_CELL_WALL_US,
-    RUNNER_WORKER_CELLS[0],
-    RUNNER_WORKER_CELLS[1],
-    RUNNER_WORKER_CELLS[2],
-    RUNNER_WORKER_CELLS[3],
-    RUNNER_WORKER_CELLS[4],
-    RUNNER_WORKER_CELLS[5],
-    RUNNER_WORKER_CELLS[6],
-    RUNNER_WORKER_CELLS[7],
 ];
 
 /// Every registered structured-event kind.

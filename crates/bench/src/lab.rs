@@ -20,15 +20,15 @@
 //!
 //! A failing cell ends the process the same way at any job count. A
 //! simulation error is the pool's failure for that cell, as a panic is,
-//! and the pool runs every cell once. Once a simulation has failed, the
-//! campaign's cells that have not started return without running. The
-//! completed cells before the first failed one in plan order are
-//! recorded, and the failure exits with its error's code (a watchdog
+//! and the pool runs every cell once. Once a cell has failed, the
+//! cells after it in plan order that have not started return without
+//! running. The completed cells before the first failed one in plan order
+//! are recorded, and the failure exits with its error's code (a watchdog
 //! abort exits 6, a panic 7), leaving the partial manifest with the cell
 //! under `failures`.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mirza_core::config::MirzaConfig;
 use mirza_core::rct::ResetPolicy;
@@ -177,17 +177,19 @@ impl LabCellSpec {
     }
 }
 
-/// A cell of one campaign: its spec, the lab it runs under, and the
-/// campaign's flag that a simulation has failed.
+/// A cell of one campaign: its plan index and spec, the lab it runs
+/// under, and the campaign's lowest failed plan index (`usize::MAX` while
+/// no cell has failed).
 struct LabCell<'a> {
     lab: &'a Lab,
+    index: usize,
     spec: &'a LabCellSpec,
-    failed: &'a AtomicBool,
+    first_failed: &'a AtomicUsize,
 }
 
 impl Cell for LabCell<'_> {
-    /// `None` when the cell did not start: another cell of the campaign
-    /// had failed.
+    /// `None` when the cell did not start: a cell before it in plan order
+    /// had failed, so its run could never be recorded.
     type Out = Option<CompletedRun>;
 
     fn id(&self) -> String {
@@ -195,16 +197,27 @@ impl Cell for LabCell<'_> {
     }
 
     /// A simulation error is the cell's pool failure, as a panic is, and
-    /// raises the campaign's flag.
+    /// either one stops the cells after it.
     fn run(&self) -> Result<Option<CompletedRun>, SimError> {
-        if self.failed.load(Ordering::Relaxed) {
+        if self.first_failed.load(Ordering::Relaxed) < self.index {
             return Ok(None);
         }
-        let run = self.lab.execute_spec(self.spec);
-        if run.is_err() {
-            self.failed.store(true, Ordering::Relaxed);
-        }
-        run.map(Some)
+        let guard = MarkFailed(self);
+        let run = self.lab.execute_spec(self.spec)?;
+        std::mem::forget(guard);
+        Ok(Some(run))
+    }
+}
+
+/// Marks its cell failed when dropped, so an error return and a panic's
+/// unwind out of [`LabCell::run`] both mark it; a completed run forgets
+/// the guard instead.
+struct MarkFailed<'a>(&'a LabCell<'a>);
+
+impl Drop for MarkFailed<'_> {
+    fn drop(&mut self) {
+        let cell = self.0;
+        cell.first_failed.fetch_min(cell.index, Ordering::Relaxed);
     }
 }
 
@@ -425,14 +438,16 @@ impl Lab {
         if specs.is_empty() {
             return;
         }
-        let failed = AtomicBool::new(false);
+        let first_failed = AtomicUsize::new(usize::MAX);
         let lab: &Lab = self;
         let cells: Vec<LabCell> = specs
             .iter()
-            .map(|spec| LabCell {
+            .enumerate()
+            .map(|(index, spec)| LabCell {
                 lab,
+                index,
                 spec,
-                failed: &failed,
+                first_failed: &first_failed,
             })
             .collect();
         let outcome = Pool::with_jobs(self.jobs).run(&cells, None);

@@ -159,6 +159,17 @@ fn a_panicking_lab_cell_exits_7_and_keeps_the_partial_manifest() {
     }
 }
 
+/// A panic stops the cells after it as a simulation error does: with the
+/// panicking cell first in plan order, one worker runs it and no other.
+#[test]
+fn a_panicking_lab_cell_stops_the_cells_after_it() {
+    let doc = run_panicking_child("panic_first_sweep_one_job");
+    assert!(recorded_workloads(&doc).is_empty());
+    assert_eq!(failed_cells(&doc), ["baseline/bc x0+attack"]);
+    let cells = doc.get("runner").and_then(|r| r.get("cells"));
+    assert_eq!(cells.and_then(Json::as_u64), Some(1));
+}
+
 /// Runs `child`, one of the ignored panicking sweeps below, in a temp dir,
 /// checks that it exits 7 after one printed panic, and returns its partial
 /// manifest.
@@ -189,12 +200,14 @@ fn recorded_workloads(doc: &Json) -> Vec<&str> {
         .collect()
 }
 
-/// Set by the panic test on its child, so that a run of the ignored tests
-/// alongside the others does not end the test process.
+/// Set by the panic tests on their child, so that a run of the ignored
+/// tests alongside the others does not end the test process.
 const PANIC_CHILD: &str = "MIRZA_LAB_PANIC_CHILD";
 
-/// The child of the panic test: it ends its process with exit 7.
-fn panicking_sweep(jobs: usize) {
+/// The child of the panic tests: it sweeps `lbm` and the panicking cell,
+/// or with `panic_first` the panicking cell, `lbm` and `mcf`, and ends its
+/// process with exit 7.
+fn panicking_sweep(jobs: usize, panic_first: bool) {
     if std::env::var_os(PANIC_CHILD).is_none() {
         return;
     }
@@ -204,9 +217,15 @@ fn panicking_sweep(jobs: usize) {
     lab.manifest_path = Some(PathBuf::from("m.json"));
     lab.begin_experiment("panic");
     lab.sweep(|lab| {
-        lab.baseline("lbm");
         let attacker = Attacker::figure12(&lab.scale().geometry());
+        if !panic_first {
+            lab.baseline("lbm");
+        }
         lab.run_on(MitigationConfig::None, "bc", 0, Some(attacker));
+        if panic_first {
+            lab.baseline("lbm");
+            lab.baseline("mcf");
+        }
     });
     unreachable!("the panicking cell ends the process");
 }
@@ -214,13 +233,19 @@ fn panicking_sweep(jobs: usize) {
 #[test]
 #[ignore = "child process of a_panicking_lab_cell_exits_7_and_keeps_the_partial_manifest"]
 fn panicking_sweep_one_job() {
-    panicking_sweep(1);
+    panicking_sweep(1, false);
 }
 
 #[test]
 #[ignore = "child process of a_panicking_lab_cell_exits_7_and_keeps_the_partial_manifest"]
 fn panicking_sweep_two_jobs() {
-    panicking_sweep(2);
+    panicking_sweep(2, false);
+}
+
+#[test]
+#[ignore = "child process of a_panicking_lab_cell_stops_the_cells_after_it"]
+fn panic_first_sweep_one_job() {
+    panicking_sweep(1, true);
 }
 
 /// A CSV path that is a pipe gets the header once and one row per run,

@@ -179,7 +179,8 @@ impl LabCellSpec {
 
 /// A cell of one campaign: its plan index and spec, the lab it runs
 /// under, and the campaign's lowest failed plan index (`usize::MAX` while
-/// no cell has failed).
+/// no cell has failed; it publishes no data, so it is read and written
+/// `Relaxed`).
 struct LabCell<'a> {
     lab: &'a Lab,
     index: usize,

@@ -153,7 +153,9 @@ impl Pool {
     ) -> Outcome<C::Out> {
         let start = Instant::now();
         let n = cells.len();
-        // The next unclaimed index: every worker takes cells in order.
+        // The next unclaimed index: every worker takes cells in order. It
+        // publishes no data (results cross through the mutexes below), so
+        // its accesses are `Relaxed`.
         let next = AtomicUsize::new(0);
         let results: Mutex<Vec<Option<C::Out>>> = Mutex::new((0..n).map(|_| None).collect());
         let failures: Mutex<Vec<CellFailure>> = Mutex::new(Vec::new());

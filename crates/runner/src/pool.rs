@@ -9,7 +9,8 @@
 //!   [`SimError::CellPanic`] failure record; its worker thread and every
 //!   neighboring cell keep running. A cell's typed error is its failure
 //!   record as it is: cells are deterministic, so a rerun would fail the
-//!   same way, and the pool never re-runs one.
+//!   same way (or, after a wall-clock watchdog abort, spend its budget
+//!   again), and the pool never re-runs one.
 //! * **Deterministic reduction** — workers complete in nondeterministic
 //!   order but every result lands in `Outcome::results[index]` keyed by the
 //!   cell's canonical enumeration index, so callers that serialize the

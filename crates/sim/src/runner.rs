@@ -1,11 +1,14 @@
-//! Experiment drivers: build a Table-IV workload (or a DoS scenario) and
-//! run it under a given mitigation.
+//! Experiment drivers: build a Table-IV workload, a trace file's replay
+//! or a DoS scenario, and run it under a given mitigation.
+
+use std::path::Path;
 
 use mirza_frontend::trace::{AccessStream, TraceOp, VecStream};
 use mirza_memctrl::mapping::AddressMapper;
 use mirza_workloads::attacks::RowPattern;
-use mirza_workloads::spec::{MixSpec, WorkloadSpec, TABLE4_MIXES};
+use mirza_workloads::spec::{WorkloadSpec, TABLE4_MIXES};
 use mirza_workloads::synth::SyntheticWorkload;
+use mirza_workloads::tracefile;
 
 use mirza_dram::address::{BankId, DramAddr};
 use mirza_telemetry::Telemetry;
@@ -16,52 +19,57 @@ use crate::report::SimReport;
 use crate::system::{CoreSetup, System};
 use crate::SimError;
 
-/// Builds the per-core trace streams for a named Table-IV workload
-/// (single benchmarks run in 8-core rate mode; mixes run one benchmark
-/// per core).
+/// Whether a workload name is a trace file path rather than a Table-IV
+/// name: it ends in `.trace` or contains a `/`.
+pub fn is_trace_path(workload: &str) -> bool {
+    workload.ends_with(".trace") || workload.contains('/')
+}
+
+/// Builds the per-core trace streams for a workload: a Table-IV benchmark
+/// runs in rate mode on every core, a mix runs one benchmark per core,
+/// and a trace path (see [`is_trace_path`]) replays the plain-text trace
+/// file (see `mirza_workloads::tracefile`) once on every core.
 ///
 /// # Errors
-/// [`SimError::UnknownWorkload`] when `workload` matches neither a
-/// benchmark nor a mix.
+/// [`SimError::UnknownWorkload`] when `workload` is neither a benchmark,
+/// a mix nor a trace path; [`SimError::Io`]/[`SimError::TraceParse`] for
+/// an unreadable or malformed trace file (naming `path:line`).
 pub fn try_build_traces(
     workload: &str,
     cores: usize,
     seed: u64,
     footprint_divisor: u64,
 ) -> Result<Vec<Box<dyn AccessStream>>, SimError> {
-    let shrink = |mut spec: WorkloadSpec| {
-        spec.pages = (spec.pages / footprint_divisor.max(1)).max(1024);
-        spec
-    };
-    if let Some(spec) = WorkloadSpec::by_name(workload) {
+    // A benchmark in rate mode is a mix of one.
+    let mix: &[&str] = if let Some(spec) = WorkloadSpec::by_name(workload) {
+        std::slice::from_ref(&spec.name)
+    } else if let Some(mix) = TABLE4_MIXES.iter().find(|m| m.name == workload) {
+        &mix.cores
+    } else if is_trace_path(workload) {
+        let ops = tracefile::load_nonempty(Path::new(workload))?;
         return Ok((0..cores)
-            .map(|i| {
-                Box::new(SyntheticWorkload::new(
-                    shrink(*spec),
-                    seed.wrapping_add(i as u64 * 101),
-                )) as Box<dyn AccessStream>
-            })
+            .map(|_| Box::new(VecStream::once(ops.clone())) as Box<dyn AccessStream>)
             .collect());
-    }
-    let mix: &MixSpec = TABLE4_MIXES
-        .iter()
-        .find(|m| m.name == workload)
-        .ok_or_else(|| SimError::UnknownWorkload {
+    } else {
+        return Err(SimError::UnknownWorkload {
             name: workload.to_string(),
-        })?;
+        });
+    };
     Ok((0..cores)
         .map(|i| {
-            let name = mix.cores[i % mix.cores.len()];
-            let spec = WorkloadSpec::by_name(name).expect("mix entries validated");
+            let name = mix[i % mix.len()];
+            let mut spec = *WorkloadSpec::by_name(name).expect("mix entries validated");
+            spec.pages = (spec.pages / footprint_divisor.max(1)).max(1024);
             Box::new(SyntheticWorkload::new(
-                shrink(*spec),
+                spec,
                 seed.wrapping_add(i as u64 * 101),
             )) as Box<dyn AccessStream>
         })
         .collect())
 }
 
-/// Runs one Table-IV workload under `cfg` and returns the report.
+/// Runs one workload (see [`try_build_traces`]) under `cfg` and returns
+/// the report.
 pub fn run_workload(cfg: &SimConfig, workload: &str) -> SimReport {
     try_run_workload_with(cfg, workload, Telemetry::disabled(), None)
         .unwrap_or_else(|e| panic!("{e}"))
@@ -87,7 +95,7 @@ pub fn run_name(cfg: &SimConfig, workload: &str) -> String {
 /// every quantum).
 ///
 /// # Errors
-/// [`SimError::UnknownWorkload`] for a bad name, [`SimError::Watchdog`]
+/// Everything [`try_build_traces`] reports, and [`SimError::Watchdog`]
 /// when the run stalls.
 ///
 /// # Panics
@@ -114,36 +122,6 @@ pub fn try_run_workload_with(
     if let Some(inj) = faults {
         system.set_fault_injector(inj.clone());
     }
-    system.try_run()
-}
-
-/// Replays a plain-text trace file (see `mirza_workloads::tracefile`) on
-/// every core under `cfg`.
-///
-/// # Errors
-/// [`SimError::Io`]/[`SimError::TraceParse`] for an unreadable or
-/// malformed file (naming `path:line`), [`SimError::Watchdog`] when the
-/// run stalls.
-pub fn run_tracefile(
-    cfg: &SimConfig,
-    path: &std::path::Path,
-    telemetry: Telemetry,
-) -> Result<SimReport, SimError> {
-    let ops = mirza_workloads::tracefile::load_nonempty(path)?;
-    let setups = (0..cfg.cores)
-        .map(|_| {
-            CoreSetup::benign(
-                Box::new(VecStream::once(ops.clone())),
-                cfg.instructions_per_core,
-            )
-        })
-        .collect();
-    let name = path
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "trace".to_string());
-    let mut system = System::new(cfg.clone(), &name, setups);
-    system.set_telemetry(telemetry);
     system.try_run()
 }
 

@@ -160,16 +160,6 @@ impl RowCensus {
     pub fn max_seen(&self) -> u32 {
         self.max_seen
     }
-
-    /// The row translation the census assumes.
-    pub fn mapping(&self) -> &RowMapping {
-        &self.mapping
-    }
-
-    /// Banks covered by the census.
-    pub fn banks(&self) -> usize {
-        self.counts.len() / self.rows_per_bank as usize
-    }
 }
 
 /// Independent re-validator of a sub-channel's command stream.
@@ -193,17 +183,24 @@ pub struct CommandAuditor {
     violation_count: u64,
     recent: Vec<Violation>,
     commands_checked: u64,
-    /// Per-row ACT census, when enabled (fault runs / security verdicts).
-    census: Option<RowCensus>,
+    /// Per-row ACT census (the security verdicts' `max_row_acts`).
+    census: RowCensus,
 }
 
 impl CommandAuditor {
     /// An auditor validating against `reference` timing for a sub-channel
-    /// of the given geometry.
-    pub fn new(reference: TimingParams, geom: &Geometry) -> Self {
+    /// of the given geometry. Its per-row ACT census translates rows
+    /// through `mapping`, the row translation the metrics and verdict view
+    /// assumes.
+    ///
+    /// # Panics
+    /// Panics if `geom.rows_per_ref` is zero or does not divide
+    /// `geom.rows_per_bank`.
+    pub fn new(reference: TimingParams, geom: &Geometry, mapping: RowMapping) -> Self {
+        let banks = geom.banks_per_subchannel() as usize;
         CommandAuditor {
             t: reference,
-            banks: vec![ShadowBank::default(); geom.banks_per_subchannel() as usize],
+            banks: vec![ShadowBank::default(); banks],
             rank_acts: vec![VecDeque::with_capacity(4); geom.ranks as usize],
             last_cmd_at: 0,
             last_col_at: None,
@@ -215,34 +212,13 @@ impl CommandAuditor {
             violation_count: 0,
             recent: Vec::new(),
             commands_checked: 0,
-            census: None,
+            census: RowCensus::new(mapping, banks, geom.rows_per_bank, geom.rows_per_ref),
         }
     }
 
-    /// Enables the per-row ACT census used for security verdicts. `mapping`
-    /// is the row translation the metrics/verdict view assumes;
-    /// `rows_per_bank`/`rows_per_ref` mirror the device geometry.
-    ///
-    /// # Panics
-    /// Panics if `rows_per_ref` is zero or does not divide `rows_per_bank`.
-    pub fn enable_row_tracking(
-        &mut self,
-        mapping: RowMapping,
-        rows_per_bank: u32,
-        rows_per_ref: u32,
-    ) {
-        self.census = Some(RowCensus::new(
-            mapping,
-            self.banks.len(),
-            rows_per_bank,
-            rows_per_ref,
-        ));
-    }
-
-    /// Maximum ACTs observed to any single row between its refreshes
-    /// (0 when row tracking is disabled).
+    /// Maximum ACTs observed to any single row between its refreshes.
     pub fn max_row_acts(&self) -> u32 {
-        self.census.as_ref().map_or(0, RowCensus::max_seen)
+        self.census.max_seen()
     }
 
     /// Total violations detected.
@@ -456,9 +432,7 @@ impl CommandAuditor {
             Command::Act { bank, row } => {
                 let flat = self.flat(cmd).expect("ACT has a bank");
                 let rank = bank.rank as usize;
-                if let Some(c) = &mut self.census {
-                    c.on_act(flat, row);
-                }
+                self.census.on_act(flat, row);
                 let b = &mut self.banks[flat];
                 b.open_row = Some(row);
                 b.last_act = Some(now);
@@ -500,9 +474,7 @@ impl CommandAuditor {
                 }
                 self.refs_seen += 1;
                 self.refresh_late_flagged = false;
-                if let Some(c) = &mut self.census {
-                    c.on_ref();
-                }
+                self.census.on_ref();
             }
             Command::Rfm { alert } => {
                 let dur = if alert {
@@ -576,7 +548,9 @@ mod tests {
     }
 
     fn auditor() -> CommandAuditor {
-        CommandAuditor::new(TimingParams::ddr5_6000(), &Geometry::ddr5_32gb())
+        let geom = Geometry::ddr5_32gb();
+        let mapping = RowMapping::for_geometry(MappingScheme::Strided, &geom);
+        CommandAuditor::new(TimingParams::ddr5_6000(), &geom, mapping)
     }
 
     #[test]

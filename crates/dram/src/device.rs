@@ -79,7 +79,7 @@ pub struct Subchannel {
     open_count: usize,
     telemetry: Telemetry,
     /// Independent protocol auditor (shadow checker), when enabled. Boxed:
-    /// its per-bank shadow state is only paid for by auditing runs.
+    /// its shadow state and row census are only paid for by auditing runs.
     audit: Option<Box<CommandAuditor>>,
 }
 
@@ -145,29 +145,16 @@ impl Subchannel {
     /// from what the device enforces; used by tests to inject
     /// device-legal but reference-illegal streams).
     pub fn enable_audit_with(&mut self, reference: TimingParams) {
-        self.audit = Some(Box::new(CommandAuditor::new(reference, &self.geom)));
+        self.audit = Some(Box::new(CommandAuditor::new(
+            reference,
+            &self.geom,
+            self.metrics_mapping,
+        )));
     }
 
     /// The protocol auditor, when enabled.
     pub fn auditor(&self) -> Option<&CommandAuditor> {
         self.audit.as_deref()
-    }
-
-    /// Enables per-row ACT tracking in the auditor (enabling the auditor
-    /// itself first if needed), using the device's metrics mapping and
-    /// geometry. Powers the fault-run security verdict.
-    pub fn enable_row_tracking(&mut self) {
-        if self.audit.is_none() {
-            self.enable_audit();
-        }
-        let (mapping, rows, per_ref) = (
-            self.metrics_mapping,
-            self.geom.rows_per_bank,
-            self.geom.rows_per_ref,
-        );
-        if let Some(a) = &mut self.audit {
-            a.enable_row_tracking(mapping, rows, per_ref);
-        }
     }
 
     /// Attaches a telemetry handle (cloned down into the mitigator).

@@ -207,15 +207,12 @@ pub struct SimConfig {
     /// Progress heartbeat: print a status line every this many retired
     /// instructions (`None` = silent).
     pub heartbeat_every: Option<u64>,
-    /// Enable the independent DDR5 protocol auditor on every sub-channel.
-    /// Pure observability: it never alters simulated behavior, so it is
-    /// deliberately excluded from [`SimConfig::to_json`] (audited and
-    /// unaudited manifests stay comparable).
+    /// Enable the independent DDR5 protocol auditor, with its per-row ACT
+    /// census, on every sub-channel. Pure observability: it never alters
+    /// simulated behavior, so it is deliberately excluded from
+    /// [`SimConfig::to_json`] (audited and unaudited manifests stay
+    /// comparable).
     pub audit: bool,
-    /// Enable the auditor's per-row ACT census (security verdicts under
-    /// fault injection). Pure observability; excluded from
-    /// [`SimConfig::to_json`] like `audit`.
-    pub track_row_acts: bool,
     /// Forward-progress watchdog: optional total wall-clock budget for the
     /// run; exceeded ⇒ `SimError::Watchdog`. Excluded from
     /// [`SimConfig::to_json`]: it only decides when a broken run dies,
@@ -245,7 +242,6 @@ impl SimConfig {
             rowpress: false,
             heartbeat_every: None,
             audit: false,
-            track_row_acts: false,
             watchdog_wall: None,
         }
     }

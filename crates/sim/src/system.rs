@@ -114,9 +114,6 @@ impl System {
                 if cfg.audit {
                     device.enable_audit();
                 }
-                if cfg.track_row_acts {
-                    device.enable_row_tracking();
-                }
                 MemController::new(device, cfg.mitigation.mc_config(), s)
             })
             .collect();
@@ -332,7 +329,7 @@ impl System {
                 sim_time_ps: t_end.as_ps(),
             });
         }
-        if self.cfg.track_row_acts {
+        if self.cfg.audit {
             let max = self
                 .mcs
                 .iter()

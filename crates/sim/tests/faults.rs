@@ -65,9 +65,8 @@ fn rct_seu_plan_applies_faults_and_feeds_the_census() {
         telemetry.counter("faults.injected") >= 1,
         "telemetry counter must mirror the summary"
     );
-    // The injector arms no census by itself; System does when asked.
+    // The injector arms no census by itself; the auditor keeps one.
     let mut cfg = mirza_cfg(20_000);
-    cfg.track_row_acts = true;
     cfg.audit = true;
     let tel = Telemetry::enabled();
     let plan = FaultPlan::parse("rct-seu:period_us=1,start_us=1").unwrap();
@@ -86,10 +85,10 @@ fn disabled_faults_are_bit_identical_to_no_injector_at_all() {
         .unwrap()
         .to_json()
         .to_string_pretty();
-    // Auditing + census on, but no injector: still the same report.
+    // The auditor and its census on, but no injector: still the same
+    // report.
     let mut audited = cfg.clone();
     audited.audit = true;
-    audited.track_row_acts = true;
     let shadowed = try_run_workload_with(&audited, "lbm", Telemetry::enabled(), None)
         .unwrap()
         .to_json()

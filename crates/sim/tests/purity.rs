@@ -1,8 +1,8 @@
 //! Instrument purity: observing a run never changes what it computes.
 //!
-//! For each of six mitigators, every one of the 64 subsets of the
+//! For each of six mitigators, every one of the 32 subsets of the
 //! simulator's instruments — event sink, command trace, epoch sampler,
-//! span collector, protocol auditor and row census — must produce
+//! span collector and protocol auditor (with its row census) — must produce
 //! `SimReport` JSON equal to the run with telemetry disabled. The one
 //! section an instrument may add is `attribution`, present exactly when the
 //! span collector is armed.
@@ -25,8 +25,7 @@ const TRACE: u32 = 1 << 1;
 const EPOCHS: u32 = 1 << 2;
 const SPANS: u32 = 1 << 3;
 const AUDIT: u32 = 1 << 4;
-const CENSUS: u32 = 1 << 5;
-const SUBSETS: u32 = 1 << 6;
+const SUBSETS: u32 = 1 << 5;
 const INSTRUCTIONS: u64 = 60_000;
 
 fn mitigators() -> [(&'static str, MitigationConfig); 6] {
@@ -59,12 +58,11 @@ fn mitigators() -> [(&'static str, MitigationConfig); 6] {
 fn run(mitigation: MitigationConfig, subset: Option<u32>) -> SimReport {
     let armed = |bit: u32| subset.is_some_and(|s| s & bit != 0);
     let mut cfg = SimConfig::new(mitigation, INSTRUCTIONS);
-    // The smoke scale's shrunken banks and LLC keep 390 runs cheap.
+    // The smoke scale's shrunken banks and LLC keep 198 runs cheap.
     cfg.geometry.rows_per_bank /= 64;
     cfg.t_refw = Some(Ps::from_ms(32) / 64);
     cfg.llc_sets = 256;
     cfg.audit = armed(AUDIT);
-    cfg.track_row_acts = armed(CENSUS);
     let benign = try_build_traces("lbm", 1, cfg.seed, 64).unwrap().remove(0);
     let hammer = RowPattern::circular(vec![1000, 1002]);
     let setups = vec![
@@ -107,11 +105,11 @@ fn every_instrument_subset_leaves_the_report_unchanged() {
             assert_eq!(
                 observed.attribution.take().is_some(),
                 subset & SPANS != 0,
-                "{name}, subset {subset:#08b}: attribution present iff spans are armed"
+                "{name}, subset {subset:#07b}: attribution present iff spans are armed"
             );
             assert!(
                 observed.to_json().to_string_pretty() == expected,
-                "{name}: instrument subset {subset:#08b} changed the report"
+                "{name}: instrument subset {subset:#07b} changed the report"
             );
         }
     }

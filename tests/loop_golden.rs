@@ -69,7 +69,6 @@ fn run(scale: &Scale, mitigation: MitigationConfig, attacked: bool) -> Run {
     cfg.instructions_per_core = INSTRUCTIONS;
     cfg.cores = benign + usize::from(attacked);
     cfg.audit = true;
-    cfg.track_row_acts = true;
     let mut setups: Vec<CoreSetup> =
         try_build_traces("mcf", benign, cfg.seed, cfg.footprint_divisor)
             .expect("mcf is a Table-IV workload")

@@ -5,10 +5,10 @@
 
 use mirza::core::config::MirzaConfig;
 use mirza::core::rct::ResetPolicy;
-use mirza::dram::time::Ps;
 use mirza::dram::timing::TimingParams;
 use mirza::security::dos;
 use mirza::sim::prelude::*;
+use mirza_bench::scale::Scale;
 
 fn main() {
     let timing = TimingParams::ddr5_6000();
@@ -30,23 +30,14 @@ fn main() {
     // --- Simulated attack (Figure 12 kernel) ---------------------------
     // 1/64-scale system: 3 benign lbm cores + 1 attacker core cycling 16
     // rows of one RCT region to keep MIRZA's queue full.
+    let scale = Scale::smoke();
     let base = MirzaConfig::trhd_1000();
-    let scaled_mirza = MirzaConfig {
-        fth: base.fth / 64,
-        ..base
-    };
-    let mut cfg = SimConfig::new(
-        MitigationConfig::Mirza {
-            cfg: scaled_mirza,
-            policy: ResetPolicy::Safe,
-        },
-        400_000,
-    );
+    let mut cfg = scale.sim_config(MitigationConfig::Mirza {
+        cfg: scale.mirza_config(base),
+        policy: ResetPolicy::Safe,
+    });
+    cfg.instructions_per_core = 400_000;
     cfg.cores = 4;
-    cfg.geometry.rows_per_bank = 2048;
-    cfg.t_refw = Some(Ps::from_ms(32) / 64);
-    cfg.llc_sets = 256;
-    cfg.footprint_divisor = 64;
     cfg.attacker = Some(Attacker::figure12(&cfg.geometry));
 
     let attacked = run_workload(&cfg, "lbm");

@@ -8,15 +8,14 @@ use mirza::core::config::MirzaConfig;
 use mirza::core::rct::ResetPolicy;
 use mirza::dram::address::MappingScheme;
 use mirza::sim::prelude::*;
+use mirza_bench::scale::Scale;
 
 fn scaled(mit: MitigationConfig) -> SimConfig {
-    // A 1/64-scale setup (see DESIGN.md): 2048-row banks, 0.5 ms tREFW,
-    // 256 KB LLC, footprints/64 — keeps per-window proportions.
-    let mut cfg = SimConfig::new(mit, 400_000);
-    cfg.geometry.rows_per_bank = 2048;
-    cfg.t_refw = Some(mirza::dram::time::Ps::from_ms(32) / 64);
-    cfg.llc_sets = 256;
-    cfg.footprint_divisor = 64;
+    // The smoke scale's 1/64 setup (see DESIGN.md): 2048-row banks,
+    // 0.5 ms tREFW, 256 KB LLC, footprints/64 — keeps per-window
+    // proportions.
+    let mut cfg = Scale::smoke().sim_config(mit);
+    cfg.instructions_per_core = 400_000;
     cfg
 }
 
@@ -42,9 +41,8 @@ fn main() {
         let mut filtered = Vec::new();
         for mapping in [MappingScheme::Sequential, MappingScheme::Strided] {
             let cfg = MirzaConfig {
-                fth: 1500 / 64,
                 mapping,
-                ..MirzaConfig::trhd_1000()
+                ..Scale::smoke().mirza_config(MirzaConfig::trhd_1000())
             };
             let r = run_workload(
                 &scaled(MitigationConfig::Mirza {

@@ -4,24 +4,17 @@
 
 use mirza::core::config::MirzaConfig;
 use mirza::core::rct::ResetPolicy;
-use mirza::dram::time::Ps;
 use mirza::sim::prelude::*;
+use mirza_bench::scale::Scale;
 
+/// MIRZA-1K at the smoke scale's 1/64 config on 2 cores.
 fn cfg(seed: u64) -> SimConfig {
-    let mut c = SimConfig::new(
-        MitigationConfig::Mirza {
-            cfg: MirzaConfig {
-                fth: 1500 / 64,
-                ..MirzaConfig::trhd_1000()
-            },
-            policy: ResetPolicy::Safe,
-        },
-        200_000,
-    );
-    c.geometry.rows_per_bank = 2048;
-    c.t_refw = Some(Ps::from_ms(32) / 64);
-    c.llc_sets = 256;
-    c.footprint_divisor = 64;
+    let scale = Scale::smoke();
+    let mut c = scale.sim_config(MitigationConfig::Mirza {
+        cfg: scale.mirza_config(MirzaConfig::trhd_1000()),
+        policy: ResetPolicy::Safe,
+    });
+    c.instructions_per_core = 200_000;
     c.cores = 2;
     c.seed = seed;
     c

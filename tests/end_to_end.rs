@@ -6,14 +6,13 @@ use mirza::core::config::MirzaConfig;
 use mirza::core::rct::ResetPolicy;
 use mirza::dram::time::Ps;
 use mirza::sim::prelude::*;
+use mirza_bench::scale::Scale;
 
-/// 1/64-scale config (see DESIGN.md §5): keeps per-tREFW proportions.
+/// The smoke scale's 1/64 config (see DESIGN.md §5) on 4 cores: keeps
+/// per-tREFW proportions.
 fn scaled(mit: MitigationConfig, instr: u64) -> SimConfig {
-    let mut cfg = SimConfig::new(mit, instr);
-    cfg.geometry.rows_per_bank = 2048;
-    cfg.t_refw = Some(Ps::from_ms(32) / 64);
-    cfg.llc_sets = 256;
-    cfg.footprint_divisor = 64;
+    let mut cfg = Scale::smoke().sim_config(mit);
+    cfg.instructions_per_core = instr;
     cfg.cores = 4;
     cfg
 }
@@ -25,10 +24,7 @@ fn mirza_mit(trhd: u32) -> MitigationConfig {
         _ => MirzaConfig::trhd_2000(),
     };
     MitigationConfig::Mirza {
-        cfg: MirzaConfig {
-            fth: (base.fth / 64).max(8),
-            ..base
-        },
+        cfg: Scale::smoke().mirza_config(base),
         policy: ResetPolicy::Safe,
     }
 }

@@ -126,12 +126,19 @@ impl SimReport {
     }
 
     /// One CSV row of raw counters (post-process with the tool of your
-    /// choice; slowdowns need the matching baseline row).
+    /// choice; slowdowns need the matching baseline row). A workload that
+    /// holds a comma, a quote or a line break (a trace path can) is
+    /// quoted, its quotes doubled.
     pub fn csv_row(&self) -> String {
+        let workload = if self.workload.contains([',', '"', '\n', '\r']) {
+            format!("\"{}\"", self.workload.replace('"', "\"\""))
+        } else {
+            self.workload.clone()
+        };
         format!(
             "{},{},{},{},{:.6},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             self.label,
-            self.workload,
+            workload,
             self.instructions,
             self.elapsed.as_ps(),
             self.core_ipc.iter().sum::<f64>(),
@@ -284,11 +291,15 @@ mod tests {
 
     #[test]
     fn csv_row_matches_header_arity() {
-        let r = report(vec![1.0]);
+        let mut r = report(vec![1.0]);
         let header_cols = SimReport::csv_header().split(',').count();
         let row_cols = r.csv_row().split(',').count();
         assert_eq!(header_cols, row_cols);
         assert!(r.csv_row().starts_with("x,w,1000000,"));
+        // A trace path may hold a comma or a quote: it stays one field.
+        r.workload = "t/a,\"b\".trace".into();
+        let quoted = "x,\"t/a,\"\"b\"\".trace\",1000000,";
+        assert!(r.csv_row().starts_with(quoted), "{}", r.csv_row());
     }
 
     #[test]
